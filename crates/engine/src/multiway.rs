@@ -491,23 +491,6 @@ impl<'a> MultiwayJoin<'a> {
         self.threads
     }
 
-    /// Total OS threads ever spawned by the attached pool (0 when
-    /// sequential). The slice driver records the per-run delta as
-    /// `ExecMetrics::thread_spawns`: zero after warm-up proves pool
-    /// reuse.
-    pub fn pool_spawned(&self) -> u64 {
-        self.pool.as_ref().map_or(0, |p| p.spawned())
-    }
-
-    /// Workers of the attached pool retired after hosting a panicking
-    /// morsel and replaced by fresh threads (0 when sequential). The
-    /// slice driver subtracts the per-run delta of this from the spawn
-    /// delta so another query's panic-driven replacement on a shared
-    /// pool is not billed to this run's `thread_spawns`.
-    pub fn pool_replaced(&self) -> u64 {
-        self.pool.as_ref().map_or(0, |p| p.replaced())
-    }
-
     /// Kernel invocations so far: one per sequential slice, one per chunk
     /// of a partitioned slice. Equals the slice count when sequential;
     /// the excess over the slice count is work fanned out to workers.

@@ -2,10 +2,11 @@
 //!
 //! The paper's implementation parallelizes only pre-processing (one
 //! filter thread per table, Table 2); the join phase is single-threaded.
-//! This module parallelizes *each time slice* without disturbing the
-//! learned-order semantics: the left-most table's remaining filtered-row
-//! range is split into contiguous offset chunks — *morsels* — and each
-//! morsel runs the specialized
+//! Here pre-processing runs as tasks on the run's worker pool (see
+//! [`crate::prepare`]), and this module parallelizes *each time slice*
+//! without disturbing the learned-order semantics: the left-most
+//! table's remaining filtered-row range is split into contiguous offset
+//! chunks — *morsels* — and each morsel runs the specialized
 //! [`OrderPlan`](crate::prepare::OrderPlan) kernel on the persistent
 //! worker pool (`skinner_pool::WorkerPool`; no threads are spawned per
 //! slice). The UCT policy still sees one slice, one reward, one

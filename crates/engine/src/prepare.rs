@@ -8,10 +8,11 @@
 //!
 //! The prepared query holds, per table, the *filtered positions* (base
 //! row ids surviving unary predicates); all Skinner-C state lives in this
-//! filtered position space. Filtering can run one scoped worker thread
-//! per table (Table 2 — the only parallelism the paper's implementation
-//! has; this reproduction additionally partitions the join phase itself,
-//! see [`crate::partition`]).
+//! filtered position space. With `threads > 1`, pre-processing runs on
+//! the run's worker pool: one filter task per table (the paper's Table 2
+//! parallelism, its only one; this reproduction additionally partitions
+//! the join phase itself, see [`crate::partition`]), then one task per
+//! single-column index and per composite-group side, largest first.
 //!
 //! # Two plan layers
 //!
@@ -39,9 +40,11 @@
 use skinner_codegen::{
     CompiledKernel, JumpKind, KernelCache, KernelClass, KernelJump, KernelKey, KernelPosition,
 };
+use skinner_pool::WorkerPool;
 use skinner_query::{compile_predicates, BoundPred, CompiledPred, Query, TableId, TableSet};
 use skinner_storage::table::TableRef;
-use skinner_storage::{fused_join_key, Column, FxHashMap, HashIndex, RowId};
+use skinner_storage::{fused_join_key, Column, FxHashMap, FxHashSet, HashIndex, RowId};
+use std::sync::Arc;
 
 /// One composite (multi-column) equi-join key group, materialized at
 /// prepare time: a pair of tables connected by two or more equality
@@ -110,6 +113,44 @@ impl CompositeKeyGroup {
     }
 }
 
+/// One index-build task of pre-processing.
+#[derive(Clone, Copy)]
+enum IndexJob {
+    /// Single-column index on `(table, column)`.
+    Single(TableId, usize),
+    /// One side of a composite group (`true` = side `b`): its fused keys
+    /// per base row and its composite index.
+    Side(usize, bool),
+}
+
+/// `f` over every job, returned in job order. Jobs start largest
+/// `weight` first, so the longest task is never the last to begin; on
+/// `pool` they run as one batch (the calling thread helps), otherwise
+/// sequentially on the calling thread.
+fn run_largest_first<J: Sync, R: Send>(
+    pool: Option<&WorkerPool>,
+    jobs: &[J],
+    weight: impl Fn(&J) -> usize,
+    f: impl Fn(&J) -> R + Send + Sync,
+) -> Vec<R> {
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(weight(&jobs[i])));
+    let mut slots: Vec<(usize, Option<R>)> = order.into_iter().map(|i| (i, None)).collect();
+    let run = |_: usize, (i, out): &mut (usize, Option<R>)| *out = Some(f(&jobs[*i]));
+    match pool {
+        Some(pool) => pool.run_batch_mut(&mut slots, run),
+        None => slots
+            .iter_mut()
+            .enumerate()
+            .for_each(|(k, slot)| run(k, slot)),
+    }
+    slots.sort_unstable_by_key(|&(i, _)| i);
+    slots
+        .into_iter()
+        .map(|(_, out)| out.expect("every job ran"))
+        .collect()
+}
+
 /// A query after pre-processing, ready for multi-way join execution.
 pub struct PreparedQuery {
     /// The query's tables in FROM order.
@@ -135,9 +176,32 @@ impl PreparedQuery {
     /// Run pre-processing for `query`.
     ///
     /// `build_indexes` corresponds to the "indexes" feature of Table 6;
-    /// `threads > 1` parallelizes the per-table filter scans.
+    /// `threads > 1` runs the filter and index-build tasks on the
+    /// process-wide shared [`WorkerPool`] (see
+    /// [`with_pool`](PreparedQuery::with_pool)).
     pub fn new(query: &Query, build_indexes: bool, threads: usize) -> PreparedQuery {
+        PreparedQuery::with_pool(query, build_indexes, threads, None)
+    }
+
+    /// [`new`](PreparedQuery::new), running its tasks on a specific pool
+    /// (the engine passes the run's pool here); `None` falls back to the
+    /// shared global pool, as in `MultiwayJoin::with_pool`.
+    ///
+    /// Pre-processing is two batches of independent tasks, each
+    /// submitted largest first: one unary-filter task per table, then one
+    /// task per single-column index and per composite-group side. With
+    /// `threads <= 1` both batches run sequentially on the calling
+    /// thread and no pool is touched. The prepared query is identical
+    /// for every thread count and pool size.
+    pub fn with_pool(
+        query: &Query,
+        build_indexes: bool,
+        threads: usize,
+        pool: Option<Arc<WorkerPool>>,
+    ) -> PreparedQuery {
         let start = std::time::Instant::now();
+        let pool = (threads > 1).then(|| pool.unwrap_or_else(WorkerPool::global));
+        let pool = pool.as_deref();
         let tables: Vec<TableRef> = query.tables.iter().map(|b| b.table.clone()).collect();
         let m = tables.len();
         let all_preds = compile_predicates(query);
@@ -159,58 +223,49 @@ impl PreparedQuery {
             .iter()
             .any(|p| p.tables().is_empty() && !p.eval(&vec![0u32; m], &tables));
 
-        // Filter each table (optionally in parallel).
-        let filter_one = |t: usize| -> Vec<RowId> {
-            if const_false {
-                return Vec::new();
-            }
-            let table = &tables[t];
-            let preds = &unary[t];
-            let mut rows = vec![0u32; m];
-            let mut keep = Vec::new();
-            for r in 0..table.num_rows() as u32 {
-                rows[t] = r;
-                if preds.iter().all(|p| p.eval(&rows, &tables)) {
-                    keep.push(r);
+        // Filter each table: one task per table. Splitting a table into
+        // row morsels would make them contend on shared UDF call counters
+        // and dictionary string refcounts.
+        let table_ids: Vec<TableId> = (0..m).collect();
+        let filtered: Vec<Vec<RowId>> = run_largest_first(
+            pool,
+            &table_ids,
+            |&t| tables[t].num_rows(),
+            |&t| {
+                if const_false {
+                    return Vec::new();
                 }
-            }
-            keep
-        };
-
-        let filtered: Vec<Vec<RowId>> = if threads > 1 && m > 1 {
-            let mut out: Vec<Option<Vec<RowId>>> = Vec::new();
-            out.resize_with(m, || None);
-            std::thread::scope(|scope| {
-                for (t, slot) in out.iter_mut().enumerate() {
-                    let filter_one = &filter_one;
-                    scope.spawn(move || {
-                        *slot = Some(filter_one(t));
-                    });
+                // Bound once per table: typed column slices, no per-row
+                // table/column resolution.
+                let preds: Vec<BoundPred> = unary[t].iter().map(|p| p.bind(&tables)).collect();
+                let mut rows = vec![0u32; m];
+                let mut keep = Vec::new();
+                for r in 0..tables[t].num_rows() as u32 {
+                    rows[t] = r;
+                    if preds.iter().all(|p| p.eval(&rows)) {
+                        keep.push(r);
+                    }
                 }
-            });
-            out.into_iter().map(|o| o.expect("filter slot")).collect()
-        } else {
-            (0..m).map(filter_one).collect()
-        };
+                keep
+            },
+        );
 
         let cards: Vec<u32> = filtered.iter().map(|f| f.len() as u32).collect();
 
-        // Hash indexes over every column used by an equi-join predicate.
-        let mut indexes = FxHashMap::default();
+        // Index builds over the filtered positions: every column used by
+        // an equi-join predicate, and both sides of every table pair
+        // connected by ≥ 2 sound equality conjuncts (composite groups).
+        let mut jobs: Vec<IndexJob> = Vec::new();
+        let mut composites: Vec<CompositeKeyGroup> = Vec::new();
         if build_indexes {
+            let mut seen = FxHashSet::default();
             for (a, b) in query.equi_join_pairs() {
                 for c in [a, b] {
-                    indexes.entry((c.table, c.column)).or_insert_with(|| {
-                        HashIndex::build(tables[c.table].column(c.column), Some(&filtered[c.table]))
-                    });
+                    if seen.insert((c.table, c.column)) {
+                        jobs.push(IndexJob::Single(c.table, c.column));
+                    }
                 }
             }
-        }
-
-        // Composite key groups: fused keys + composite indexes for every
-        // table pair connected by ≥ 2 equality conjuncts.
-        let mut composites = Vec::new();
-        if build_indexes {
             for ((ta, tb), mut pairs) in query.composite_key_groups() {
                 // Key-convention guard, as for single jumps: drop
                 // component pairs whose equality cannot be accelerated
@@ -224,8 +279,6 @@ impl PreparedQuery {
                 if pairs.len() < 2 {
                     continue;
                 }
-                let cols_a: Vec<usize> = pairs.iter().map(|&(a, _)| a).collect();
-                let cols_b: Vec<usize> = pairs.iter().map(|&(_, b)| b).collect();
                 // Map the group's conjuncts to join_preds indices.
                 let preds: Vec<usize> = join_preds
                     .iter()
@@ -242,35 +295,75 @@ impl PreparedQuery {
                     })
                     .map(|(pi, _)| pi)
                     .collect();
-                // Fused keys are only ever read for rows that survived
-                // the unary filters (indexes cover filtered positions;
-                // source lookups hold filtered base ids), so hash only
-                // those — on a selectively filtered link table this is
-                // most of the prepare cost.
-                let fuse_side = |t: TableId, cols: &[usize]| -> Vec<Option<i64>> {
-                    let mut keys = vec![None; tables[t].num_rows()];
-                    for &r in &filtered[t] {
-                        keys[r as usize] =
-                            fused_join_key(cols.iter().map(|&c| tables[t].column(c)), r as usize);
-                    }
-                    keys
-                };
-                let keys_a = fuse_side(ta, &cols_a);
-                let keys_b = fuse_side(tb, &cols_b);
-                let index_of = |keys: &[Option<i64>], filt: &[RowId]| {
-                    let filtered_keys: Vec<Option<i64>> =
-                        filt.iter().map(|&r| keys[r as usize]).collect();
-                    HashIndex::from_keys(&filtered_keys)
-                };
-                let idx_a = index_of(&keys_a, &filtered[ta]);
-                let idx_b = index_of(&keys_b, &filtered[tb]);
+                jobs.push(IndexJob::Side(composites.len(), false));
+                jobs.push(IndexJob::Side(composites.len(), true));
+                // Keys and indexes are filled in once the jobs have run.
                 composites.push(CompositeKeyGroup {
                     tables: (ta, tb),
-                    cols: (cols_a, cols_b),
+                    cols: (
+                        pairs.iter().map(|&(a, _)| a).collect(),
+                        pairs.iter().map(|&(_, b)| b).collect(),
+                    ),
                     preds,
-                    keys: (keys_a, keys_b),
-                    indexes: (idx_a, idx_b),
+                    keys: Default::default(),
+                    indexes: Default::default(),
                 });
+            }
+        }
+        let side = |g: usize, is_b: bool| {
+            let g = &composites[g];
+            if is_b {
+                (g.tables.1, &g.cols.1)
+            } else {
+                (g.tables.0, &g.cols.0)
+            }
+        };
+        let built = run_largest_first(
+            pool,
+            &jobs,
+            |&job| match job {
+                IndexJob::Single(t, _) => filtered[t].len(),
+                IndexJob::Side(g, is_b) => filtered[side(g, is_b).0].len(),
+            },
+            |&job| match job {
+                IndexJob::Single(t, c) => (
+                    Vec::new(),
+                    HashIndex::build(tables[t].column(c), Some(&filtered[t])),
+                ),
+                IndexJob::Side(g, is_b) => {
+                    // Fused keys are only ever read for rows that survived
+                    // the unary filters (indexes cover filtered positions;
+                    // source lookups hold filtered base ids), so hash only
+                    // those — on a selectively filtered link table this is
+                    // most of the prepare cost.
+                    let (t, cols) = side(g, is_b);
+                    let mut keys = vec![None; tables[t].num_rows()];
+                    let filtered_keys: Vec<Option<i64>> = filtered[t]
+                        .iter()
+                        .map(|&r| {
+                            let cols = cols.iter().map(|&c| tables[t].column(c));
+                            keys[r as usize] = fused_join_key(cols, r as usize);
+                            keys[r as usize]
+                        })
+                        .collect();
+                    (keys, HashIndex::from_keys(&filtered_keys))
+                }
+            },
+        );
+        let mut indexes = FxHashMap::default();
+        for (&job, (keys, index)) in jobs.iter().zip(built) {
+            match job {
+                IndexJob::Single(t, c) => {
+                    indexes.insert((t, c), index);
+                }
+                IndexJob::Side(g, false) => {
+                    composites[g].keys.0 = keys;
+                    composites[g].indexes.0 = index;
+                }
+                IndexJob::Side(g, true) => {
+                    composites[g].keys.1 = keys;
+                    composites[g].indexes.1 = index;
+                }
             }
         }
 

@@ -21,6 +21,7 @@ use crate::reward::{reward, RewardKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skinner_codegen::{CompiledKernel, KernelCache};
+use skinner_pool::WorkerPool;
 use skinner_query::{Query, TableId};
 use skinner_storage::{FxHashMap, RowId};
 use skinner_uct::{ArmPriors, JoinOrderSpace, SearchSpace, TreeSnapshot, UctConfig, UctTree};
@@ -58,12 +59,13 @@ pub struct SkinnerCConfig {
     /// Build hash indexes on equi-join columns during pre-processing
     /// (Table 6 ablation).
     pub use_indexes: bool,
-    /// Worker threads, used twice: one filter thread per table during
-    /// pre-processing (Table 2, as in the paper's implementation), and —
-    /// beyond the paper, whose join phase is single-threaded — offset-
-    /// range-partitioned execution of every join slice (see
-    /// [`crate::partition`]). `1` reproduces the paper's sequential join
-    /// phase exactly.
+    /// Worker threads, used twice: `> 1` runs pre-processing as tasks on
+    /// the run's worker pool — one filter task per table (Table 2, as in
+    /// the paper's implementation) and one task per index build — and,
+    /// beyond the paper, whose join phase is single-threaded, fixes the
+    /// offset-range fan-out of every join slice (see
+    /// [`crate::partition`]). `1` reproduces the paper's sequential
+    /// pre-processing and join phase exactly.
     pub threads: usize,
     /// Execute join orders on the codegen tier (per-shape compiled
     /// kernels, see `skinner-codegen`) instead of the plan-bound
@@ -280,7 +282,30 @@ impl SkinnerC {
     pub fn run_with(&self, query: &Query, opts: &RunOptions<'_>) -> SkinnerOutcome {
         let cfg = &self.config;
         let m = query.num_tables();
-        let pq = PreparedQuery::new(query, cfg.use_indexes, cfg.threads);
+        // One pool serves the whole run, pre-processing tasks and join
+        // morsels alike. Pool-reuse accounting: the per-run delta of pool
+        // thread spawns must be 0 after the pool's one-time warm-up. Both
+        // counters are snapshotted so panic-driven worker replacements —
+        // which on a shared pool may belong to a *concurrent* query — can
+        // be netted out of this run's delta.
+        let pool = (cfg.threads > 1).then(|| opts.pool.clone().unwrap_or_else(WorkerPool::global));
+        let pool_counts = || {
+            pool.as_ref()
+                .map_or((0, 0), |p| (p.spawned(), p.replaced()))
+        };
+        let (spawns_before, replaced_before) = pool_counts();
+        // Net out panic-driven replacements: a run that reaches the end
+        // hosted no panicking morsel of its own (a panic would have
+        // unwound past it), so any replacement spawns observed on a
+        // shared pool were another query's and must not be billed here.
+        // The metric remains approximate under concurrency — a racing
+        // query's pool warm-up is indistinguishable from ours — but is
+        // exact for a private pool and in steady state.
+        let thread_spawns = || {
+            let (spawned, replaced) = pool_counts();
+            (spawned - spawns_before).saturating_sub(replaced - replaced_before)
+        };
+        let pq = PreparedQuery::with_pool(query, cfg.use_indexes, cfg.threads, pool.clone());
         let mut metrics = ExecMetrics {
             preprocess_time: pq.preprocess_time,
             index_bytes: pq.index_bytes(),
@@ -293,6 +318,7 @@ impl SkinnerC {
         };
 
         if pq.any_empty() || m == 0 {
+            metrics.thread_spawns = thread_spawns();
             return SkinnerOutcome {
                 tuples: Vec::new(),
                 num_tables: m,
@@ -330,14 +356,7 @@ impl SkinnerC {
         let mut tracker = ProgressTracker::new(m);
         let mut offsets = vec![0u32; m];
         let mut results = ResultSet::new();
-        let mut join = MultiwayJoin::with_pool(&pq, cfg.threads, opts.pool.clone());
-        // Pool-reuse accounting: the per-run delta of pool thread spawns
-        // must be 0 after the pool's one-time warm-up. Both counters are
-        // snapshotted so panic-driven worker replacements — which on a
-        // shared pool may belong to a *concurrent* query — can be netted
-        // out of this run's delta.
-        let spawns_before = join.pool_spawned();
-        let replaced_before = join.pool_replaced();
+        let mut join = MultiwayJoin::with_pool(&pq, cfg.threads, pool.clone());
         // Per-order execution state: the bound plan plus, when the
         // codegen tier is on and the shape is supported, the compiled
         // kernel (tier three). Bound once per order, reused across every
@@ -506,15 +525,7 @@ impl SkinnerC {
         metrics.join_time = join_start.elapsed();
         metrics.join_chunks = join.chunks_run();
         metrics.join_threads = cfg.threads.max(1);
-        // Net out panic-driven replacements: a run that reaches this
-        // point hosted no panicking morsel of its own (a panic would
-        // have unwound past us), so any replacement spawns observed on
-        // a shared pool were another query's and must not be billed
-        // here. The metric remains approximate under concurrency — a
-        // racing query's pool warm-up is indistinguishable from ours —
-        // but is exact for a private pool and in steady state.
-        metrics.thread_spawns = (join.pool_spawned() - spawns_before)
-            .saturating_sub(join.pool_replaced() - replaced_before);
+        metrics.thread_spawns = thread_spawns();
         metrics.uct_nodes = tree.num_nodes();
         metrics.uct_bytes = tree.approx_bytes();
         metrics.tracker_nodes = tracker.num_nodes();
@@ -648,8 +659,10 @@ fn random_order(space: &JoinOrderSpace, rng: &mut SmallRng) -> Vec<TableId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skinner_query::{Expr, QueryBuilder};
-    use skinner_storage::{Catalog, Column, ColumnDef, Schema, Table, ValueType};
+    use skinner_query::{Expr, QueryBuilder, Udf};
+    use skinner_storage::{Catalog, Column, ColumnDef, Schema, Table, Value, ValueType};
+    use std::collections::HashSet;
+    use std::sync::{Arc, Mutex};
 
     fn fk_catalog(n: usize) -> Catalog {
         // chain of tables t0 ← t1 ← t2 ... joined on k, each with n rows
@@ -805,10 +818,39 @@ mod tests {
     #[test]
     fn pool_reuse_means_zero_spawns_after_warmup() {
         // The acceptance criterion for the persistent pool: after the
-        // pool's one-time warm-up, a run executes thousands of
-        // partitioned slices with zero OS thread spawns.
+        // pool's one-time warm-up, a run — pre-processing included —
+        // executes thousands of partitioned slices with zero OS thread
+        // spawns. Every table carries a unary UDF filter that records
+        // the thread it runs on: filters must run on the pool's workers
+        // or the submitting thread, never on threads of their own.
         let cat = fk_catalog(64);
-        let q = chain_query(&cat, 4);
+        let threads_seen = Arc::new(Mutex::new(HashSet::new()));
+        let seen = threads_seen.clone();
+        let udf = Udf::new("record_thread", move |_: &[Value]| {
+            let name = std::thread::current().name().map(String::from);
+            seen.lock().unwrap().insert(name);
+            Value::Int(1)
+        });
+        let mut qb = QueryBuilder::new(&cat);
+        for t in 0..4 {
+            qb.table(&format!("t{t}")).unwrap();
+        }
+        for t in 0..4 {
+            let v = qb.col(&format!("t{t}.v")).unwrap();
+            qb.filter(Expr::Udf {
+                udf: udf.clone(),
+                args: vec![v],
+            });
+            if t > 0 {
+                let j = qb
+                    .col(&format!("t{}.k", t - 1))
+                    .unwrap()
+                    .eq(qb.col(&format!("t{t}.k")).unwrap());
+                qb.filter(j);
+            }
+        }
+        qb.select_col("t0.v").unwrap();
+        let q = qb.build().unwrap();
         let pool = skinner_pool::WorkerPool::new(4);
         let run = |pool: &std::sync::Arc<skinner_pool::WorkerPool>| {
             SkinnerC::new(SkinnerCConfig {
@@ -826,9 +868,10 @@ mod tests {
         };
         let warm = run(&pool);
         // The private pool spawned its 4 workers at construction, before
-        // the first run — even run one sees zero per-slice spawns.
+        // the first run — even run one sees zero spawns.
         assert_eq!(warm.metrics.thread_spawns, 0, "warm-up run spawned");
         let steady = run(&pool);
+        assert_eq!(steady.result_count, warm.result_count);
         assert!(steady.metrics.slices > 0);
         assert!(
             steady.metrics.join_chunks > steady.metrics.slices,
@@ -839,6 +882,18 @@ mod tests {
             "steady-state run must reuse pooled workers"
         );
         assert_eq!(pool.spawned(), 4, "only the construction-time spawns");
+        let me = std::thread::current().name().map(String::from);
+        let seen = threads_seen.lock().unwrap();
+        assert!(!seen.is_empty(), "filters never ran");
+        for name in seen.iter() {
+            assert!(
+                *name == me
+                    || name
+                        .as_deref()
+                        .is_some_and(|n| n.starts_with("skinner-pool-")),
+                "a filter ran on a thread outside the pool: {name:?}"
+            );
+        }
     }
 
     #[test]

@@ -75,9 +75,11 @@ struct RawTask {
 
 impl RawTask {
     /// Execute the morsel, catching a panic and recording completion
-    /// (and the first panic payload) on the batch. Returns the panic
-    /// payload presence so workers can retire themselves.
-    fn execute(self) -> bool {
+    /// (and the first panic payload) on the batch. On a panic `on_panic`
+    /// runs *before* the batch completes, so a submitter that sees its
+    /// batch done also sees what it recorded (the panic count, a
+    /// replacement worker). Returns whether the morsel panicked.
+    fn execute(self, on_panic: impl FnOnce()) -> bool {
         let RawTask { run, batch } = self;
         // UnwindSafe: on panic the task's `&mut` scratch may be left
         // half-written, but the submitter re-raises the panic before
@@ -89,6 +91,7 @@ impl RawTask {
                 false
             }
             Err(payload) => {
+                on_panic();
                 batch.complete(Some(payload));
                 true
             }
@@ -182,6 +185,10 @@ impl Inner {
         self.queues[q]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn count_panic(&self) {
+        self.task_panics.fetch_add(1, Ordering::Relaxed);
     }
 
     fn dec_pending(&self) {
@@ -281,23 +288,23 @@ fn worker_loop(inner: Arc<Inner>, idx: usize) {
         schedule::point(0x1D7E);
         if let Some(task) = inner.grab(idx) {
             schedule::point(0xE8EC);
-            let panicked = task.execute();
-            if panicked {
-                // Retire this worker and bring up a replacement: the
-                // pool always returns to full strength, and a fresh
-                // stack hosts the next morsel. The shutdown check and
-                // the replacement's handle registration happen under
-                // the same sync lock `Drop` holds to set `shutdown`,
-                // so a replacement either lands in `handles` before
-                // Drop drains them (and is joined) or is never spawned
-                // — no handle can leak past Drop's join-all.
-                inner.task_panics.fetch_add(1, Ordering::Relaxed);
+            // On a panic, retire this worker and bring up a replacement
+            // before the batch completes: the pool always returns to full
+            // strength, and a fresh stack hosts the next morsel. The
+            // shutdown check and the replacement's handle registration
+            // happen under the same sync lock `Drop` holds to set
+            // `shutdown`, so a replacement either lands in `handles`
+            // before Drop drains them (and is joined) or is never spawned
+            // — no handle can leak past Drop's join-all.
+            let panicked = task.execute(|| {
+                inner.count_panic();
                 let s = inner.lock_sync();
                 if !s.shutdown {
                     inner.replaced.fetch_add(1, Ordering::Relaxed);
                     spawn_worker(&inner, idx);
                 }
-                drop(s);
+            });
+            if panicked {
                 return;
             }
             continue;
@@ -480,9 +487,7 @@ impl WorkerPool {
         // when every pool worker is grinding another query.
         while let Some(task) = self.inner.grab_for_batch(&batch) {
             schedule::point(0x5E1F);
-            if task.execute() {
-                self.inner.task_panics.fetch_add(1, Ordering::Relaxed);
-            }
+            task.execute(|| self.inner.count_panic());
         }
         batch.wait();
         if let Some(payload) = batch.take_panic() {
@@ -514,7 +519,7 @@ impl Drop for WorkerPool {
         // borrows `&self` — but a drained queue is cheap insurance).
         for q in 0..self.inner.queues.len() {
             while let Some(task) = self.inner.pop_at(q, true) {
-                let _ = task.execute();
+                task.execute(|| self.inner.count_panic());
             }
         }
     }
@@ -635,6 +640,7 @@ mod tests {
 
     #[test]
     fn perturbed_schedules_do_not_change_results() {
+        let _seed = schedule::test_seed_lock();
         let pool = WorkerPool::new(3);
         let reference: Vec<u64> = (0..32).map(|i| i * 7 + 1).collect();
         for seed in [1u64, 0xDEAD, 0x5EED5EED] {
@@ -646,10 +652,13 @@ mod tests {
         schedule::clear();
     }
 
-    /// Replacement spawns are racy by nature; poll briefly.
+    /// Replacement spawns are racy by nature; poll briefly. A retiring
+    /// worker spawns its replacement before its own exit is counted, so
+    /// `live` can briefly exceed `workers` too: wait for it to settle at
+    /// exactly `workers`.
     fn wait_full_strength(pool: &WorkerPool) {
         for _ in 0..500 {
-            if pool.live_workers() >= pool.workers() {
+            if pool.live_workers() == pool.workers() {
                 return;
             }
             std::thread::sleep(std::time::Duration::from_millis(2));

@@ -108,12 +108,23 @@ pub fn pick(n: usize) -> Option<usize> {
     next(0x71C7).map(|h| (h % n as u64) as usize)
 }
 
+/// Serializes this crate's tests that arm or clear the process-wide
+/// seed: run in parallel, one test's [`clear`] would disarm another's
+/// [`set_seed`] mid-assertion.
+#[cfg(test)]
+pub(crate) fn test_seed_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn seed_arms_and_clears() {
+        let _seed = test_seed_lock();
         clear();
         set_seed(42);
         assert_eq!(current(), Some(42));
@@ -129,6 +140,7 @@ mod tests {
 
     #[test]
     fn picks_stay_in_range() {
+        let _seed = test_seed_lock();
         set_seed(0xA11CE);
         for n in 1..16 {
             for _ in 0..64 {

@@ -315,6 +315,27 @@ impl Column {
         })
     }
 
+    /// [`join_key`](Column::join_key) of every row in `rows` (all rows
+    /// when `None`), in order. A string column whose dictionary is no
+    /// larger than the row count hashes each dictionary entry once
+    /// instead of once per row; index builds call this.
+    pub(crate) fn join_keys(&self, rows: Option<&[u32]>) -> Vec<Option<i64>> {
+        let n = rows.map_or(self.len(), <[u32]>::len);
+        let row = |i: usize| rows.map_or(i, |r| r[i] as usize);
+        match &self.data {
+            ColumnData::Str { codes, dict } if dict.len() <= n => {
+                let dict_keys: Vec<i64> = dict.values.iter().map(|s| str_key(s)).collect();
+                (0..n)
+                    .map(|i| {
+                        let r = row(i);
+                        (!self.is_null(r)).then(|| dict_keys[codes[r] as usize])
+                    })
+                    .collect()
+            }
+            _ => (0..n).map(|i| self.join_key(row(i))).collect(),
+        }
+    }
+
     /// The join key a literal [`Value`] would have in this column, used to
     /// translate predicate constants once per query instead of per row.
     pub fn join_key_of_value(&self, v: &Value) -> Option<i64> {
@@ -495,6 +516,36 @@ mod tests {
         assert_eq!(a.join_key(0), b.join_key(1));
         assert_eq!(a.join_key(1), b.join_key(0));
         assert_ne!(a.join_key(0), a.join_key(1));
+    }
+
+    #[test]
+    fn join_keys_match_join_key() {
+        // Every representation, with and without NULLs, over all rows and
+        // over a position subset. The string columns cover both paths: a
+        // dictionary no larger than the rows (hashed once per entry) and
+        // one larger than a short position list (hashed per row).
+        let nullable = |col: Column| {
+            let mut valid = Bitmap::ones(col.len());
+            valid.set(1, false);
+            col.with_validity(valid)
+        };
+        let strs = || Column::from_strs(["x", "y", "x", "z", "y", "w"]);
+        let cols = [
+            Column::from_ints(vec![5, -3, 5, i64::MIN, i64::MAX, 0]),
+            nullable(Column::from_ints(vec![5, -3, 5, 7, 8, 0])),
+            Column::from_floats(vec![1.5, -0.0, 0.0, 2.0, 1.5, 9.0]),
+            Column::from_dates(vec![10, 11, 10, 12, 13, 14]),
+            strs(),
+            nullable(strs()),
+        ];
+        for col in &cols {
+            let all: Vec<Option<i64>> = (0..col.len()).map(|i| col.join_key(i)).collect();
+            assert_eq!(col.join_keys(None), all, "{:?}", col.value_type());
+            for rows in [&[1u32, 2, 5][..], &[3], &[], &[0, 0, 4, 1, 2, 3, 5]] {
+                let want: Vec<Option<i64>> = rows.iter().map(|&r| all[r as usize]).collect();
+                assert_eq!(col.join_keys(Some(rows)), want, "{:?}", col.value_type());
+            }
+        }
     }
 
     #[test]

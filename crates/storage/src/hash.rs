@@ -86,6 +86,39 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// Drop-in `HashSet` replacement using [`FxHasher`].
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
+/// Hasher for maps keyed by `i64` values whose low bits carry little of
+/// their variety: Fx hashes of strings and composite keys, and float bit
+/// patterns. Fx's multiply leaves a hash's low bits — the ones a hash
+/// table uses to pick a bucket — depending only on the input's low bits.
+/// Strings sharing a long prefix (`name-1`, `name-2`, …) hash to keys
+/// that agree there, and `0.5`, `1.0`, `1.5`, … have all-zero low
+/// mantissa bits, so such keys crowd a few buckets. This hasher takes the
+/// full 128-bit product and folds its high half, which depends on every
+/// bit of the key, onto the low half.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct FoldHasher {
+    hash: u64,
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.hash = (self.hash.rotate_left(5) ^ u64::from(b)).wrapping_mul(SEED);
+        }
+    }
+
+    #[inline]
+    fn write_i64(&mut self, i: i64) {
+        let product = u128::from(i as u64) * u128::from(SEED);
+        self.hash = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
 /// Hash a single `u64` without constructing a map (used by the raw
 /// open-addressing tables in the execution engines).
 #[inline]

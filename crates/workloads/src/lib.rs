@@ -19,16 +19,17 @@
 //!   optimization benchmark (all non-Cartesian plans equivalent).
 //! * [`nulls`] — NULL-heavy, string-join stress: nullable
 //!   dictionary-encoded string keys exercising the engine's
-//!   `KeyCol::Other` fallback (hash-verified string keys, NULL
-//!   semantics through joins, indexes and aggregates).
+//!   `KeyCol::Other` jumps and the codegen tier's `KeyEq` posting
+//!   cursors (hash-verified string keys, NULL semantics through joins,
+//!   indexes and aggregates).
 //! * [`wide`] — wide-schema stress: dozen-plus-column tables,
 //!   high-cardinality string dictionaries, and non-nullable **Float**
 //!   join keys exercising the engine's `KeyCol::Float` jumps and the
 //!   codegen tier's `FloatEq` posting cursors.
 //! * [`correlated`] — JOB-shaped link tables with **composite**
 //!   `(movie_id, person_id)` join keys (the engine's fused `KeyCol::
-//!   Fused` jumps; the codegen tier takes its fallback) and `DATE`
-//!   columns with TPC-H-style date-range predicates.
+//!   Fused` jumps and the codegen tier's `FusedEq` posting cursors) and
+//!   `DATE` columns with TPC-H-style date-range predicates.
 //!
 //! All generators are seeded and deterministic.
 

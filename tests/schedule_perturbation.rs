@@ -193,3 +193,85 @@ fn engine_outcomes_identical_across_pools_and_seeds() {
         }
     }
 }
+
+/// Assert two prepared queries are interchangeable: same filtered
+/// positions and cardinalities, same single-column indexes (probe-equal
+/// for every key of every filtered row) and same composite groups
+/// (fused keys, and both indexes probe-equal for every fused key).
+fn assert_prepared_eq(got: &PreparedQuery, want: &PreparedQuery, ctx: &str) {
+    assert_eq!(got.filtered, want.filtered, "[{ctx}] filtered positions");
+    assert_eq!(got.cards, want.cards, "[{ctx}] cardinalities");
+    let mut cols: Vec<_> = want.indexes.keys().copied().collect();
+    cols.sort_unstable();
+    let mut got_cols: Vec<_> = got.indexes.keys().copied().collect();
+    got_cols.sort_unstable();
+    assert_eq!(got_cols, cols, "[{ctx}] indexed columns");
+    for (t, c) in cols {
+        let (g, w) = (&got.indexes[&(t, c)], &want.indexes[&(t, c)]);
+        assert_eq!(
+            (g.len(), g.distinct_keys(), g.approx_bytes()),
+            (w.len(), w.distinct_keys(), w.approx_bytes()),
+            "[{ctx}] index ({t}, {c}) shape"
+        );
+        let col = want.tables[t].column(c);
+        for &row in &want.filtered[t] {
+            if let Some(k) = col.join_key(row as usize) {
+                assert_eq!(g.probe(k), w.probe(k), "[{ctx}] index ({t}, {c}) key {k}");
+            }
+        }
+    }
+    assert_eq!(
+        got.composites.len(),
+        want.composites.len(),
+        "[{ctx}] groups"
+    );
+    for (i, (g, w)) in got.composites.iter().zip(&want.composites).enumerate() {
+        assert_eq!(
+            (g.tables, &g.cols, &g.preds, &g.keys),
+            (w.tables, &w.cols, &w.preds, &w.keys),
+            "[{ctx}] composite group {i}"
+        );
+        for k in w.keys.0.iter().chain(&w.keys.1).flatten() {
+            assert_eq!(
+                g.indexes.0.probe(*k),
+                w.indexes.0.probe(*k),
+                "[{ctx}] group {i}"
+            );
+            assert_eq!(
+                g.indexes.1.probe(*k),
+                w.indexes.1.probe(*k),
+                "[{ctx}] group {i}"
+            );
+        }
+    }
+}
+
+#[test]
+fn prepared_query_identical_across_threads_pools_and_seeds() {
+    // The mixed-shape cases (composite, NULL-heavy string keys, floats)
+    // plus TPC-H with every unary predicate wrapped in a UDF: many
+    // filtered tables, so filter and index tasks really run side by side.
+    let tpch = skinnerdb::workloads::tpch::generate(0.005, 42);
+    let mut queries: Vec<(String, Query)> = cases()
+        .into_iter()
+        .map(|(name, _cat, q)| (name.to_string(), q))
+        .collect();
+    for nq in skinnerdb::workloads::tpch::queries(&tpch, true, 0) {
+        queries.push((format!("tpch-udf {}", nq.id), nq.query));
+    }
+    let mut composites = 0;
+    for (name, q) in &queries {
+        let reference = PreparedQuery::new(q, true, 1);
+        composites += reference.composites.len();
+        for seed in seeds() {
+            for &workers in &POOL_SIZES {
+                schedule::set_seed(seed);
+                let got = PreparedQuery::with_pool(q, true, 4, Some(shared_pool(workers)));
+                schedule::clear();
+                let ctx = format!("{name}, pool {workers}, seed {seed:#x}");
+                assert_prepared_eq(&got, &reference, &ctx);
+            }
+        }
+    }
+    assert!(composites > 0, "no composite group — the test is vacuous");
+}
