@@ -1,9 +1,9 @@
-//! Criterion bench: order-specialized vs. generic-eval multi-way join
-//! kernels on a 4-table FK chain.
+//! Criterion bench: compiled vs. generic-eval multi-way join kernels on
+//! a 4-table FK chain.
 //!
-//! The specialized kernel executes a fully *bound* `OrderPlan` (typed
-//! column slices per predicate, direct hash-index references per jump,
-//! arena result set); the generic kernel re-resolves tables/columns via
+//! The compiled kernel executes an order bound by `plan_order` (typed
+//! column slices per predicate, posting-list cursors per jump, arena
+//! result set); the generic kernel re-resolves tables/columns via
 //! `CompiledPred::eval` and probes the `(table, column)` index map on
 //! every advance — the pre-specialization implementation kept as the
 //! reference. The acceptance bar for the specialization is ≥ 1.5×.

@@ -1,54 +1,61 @@
-//! The compiled join kernels: monomorphized, straight-line DFS loops
-//! specialized on a join-order shape.
+//! The compiled join kernel: one depth-first loop over a bound join
+//! order, for any order of 1 to [`MAX_TABLES`] tables.
 //!
-//! The plan-bound kernel in `skinner-engine` already resolves every
-//! table/column/index indirection at plan time, but its inner loop is
-//! still one generic routine: each tuple advance re-dispatches on
-//! `Option<BoundJump>` and the `KeyCol` variant, and each index jump
-//! re-probes the hash map and binary-searches the posting list. The
-//! kernels here go the rest of the way to the paper's §6 compilation:
+//! [`CompiledKernel`] is what a prepared query binds each join order
+//! into (the engine's `PreparedQuery::plan_order`). Every table, column
+//! and index indirection is resolved at bind time, so the loop touches
+//! only raw slices:
 //!
-//! * **Const-generic arity** — one kernel instance per table count
-//!   (2..=6), so position arrays are fixed-size and bounds checks
-//!   vanish.
-//! * **Class-typed jumps** — the per-position jump code is selected by a
-//!   zero-sized class type ([`KernelClass`]): the homogeneous hot shapes
-//!   (integer FK chains, fused composite-key chains, string/nullable
-//!   key chains, pure scans) compile with *no* jump dispatch at all;
-//!   only genuinely heterogeneous mixes pay a per-advance match.
-//! * **Postings cursors** — descending into an index-driven position
-//!   probes the hash index **once** for the current predecessor key and
-//!   then walks the sorted posting list with a cursor; every subsequent
-//!   advance is `list[idx++]` instead of probe + binary search.
+//! * **Runtime arity, no allocation** — the position count is a runtime
+//!   value; the per-position posting cursors live in a fixed-capacity
+//!   stack array sized by the query ceiling [`MAX_TABLES`], so a slice
+//!   allocates nothing.
+//! * **Posting cursors** — descending into an index-driven position
+//!   does one [`KernelJump`] match, probes the hash index **once** for
+//!   the current predecessor key and keeps the sorted posting list as a
+//!   cursor; every later advance is a slice pop instead of probe +
+//!   binary search.
 //! * **Equality-predicate elision** — integer join keys are exact (the
-//!   join key *is* the value), so candidates drawn from the posting list
-//!   provably satisfy the driving equality predicate; the kernel
-//!   evaluates only the remaining predicates. Float keys match by bit
-//!   pattern, which over-approximates IEEE equality on NaN, so float
-//!   positions keep full re-verification (exactly like the bound
-//!   kernel's float jumps). Fused composite keys and string/nullable
-//!   keys ([`KernelJump::FusedEq`], [`KernelJump::KeyEq`]) are
-//!   hash-derived, so they are **never** elided: the posting cursor only
-//!   narrows the candidate set, and every driving conjunct is
-//!   re-verified. NULL keys (`None`) reject outright — no candidates —
-//!   which is exactly the plan-bound kernel's `None => pos.card`
-//!   null-reject, so three-valued equality is preserved.
+//!   join key *is* the value), so candidates drawn from an
+//!   [`KernelJump::IntEq`] posting list provably satisfy the driving
+//!   equality predicate, and the binder drops it from the position's
+//!   predicates. Float keys match by bit pattern, which over-approximates
+//!   IEEE equality on NaN, so float positions keep full re-verification.
+//!   Fused composite keys and string/nullable keys
+//!   ([`KernelJump::FusedEq`], [`KernelJump::KeyEq`]) are hash-derived,
+//!   so they are **never** elided: the cursor only narrows the candidate
+//!   set, and every driving conjunct is re-verified. NULL keys (`None`)
+//!   yield no candidates, which preserves three-valued equality.
+//! * **Leaf loop** — the last position (where every result tuple is
+//!   emitted and most steps are spent) runs in a tight inner loop with
+//!   its table, cardinality, predicate slice and cursor kind hoisted out
+//!   of the per-step work.
 //!
-//! Soundness relative to the plan-bound kernel: both enumerate the same
-//! depth-first candidate sequence — the posting-list cursor yields
-//! exactly the positions `next_ge` would visit (postings are sorted
-//! ascending, and candidates the bound kernel visits but rejects on the
-//! jump predicate are precisely the non-postings the cursor skips) — so
-//! accepted tuples, their order, and the suspend/resume cursor contract
-//! are identical. The differential properties in `tests/property.rs`
-//! check this byte for byte.
+//! # Step accounting
+//!
+//! One step is one candidate examined at one position, or one
+//! exhaustion detected there (which backtracks and advances the
+//! predecessor within the same step). A slice returns after at most
+//! `budget` steps — never more — so every time slice of the paper's
+//! regret analysis (§5) spends the same budget `b`. The leaf loop keeps
+//! exactly this accounting: one step per candidate, the budget and
+//! [`ResultSink::is_full`] polls before each step, and the cursor
+//! advanced past an emitted tuple *before* a sink-driven suspension.
+//!
+//! The generic reference kernel in `skinner-engine`
+//! (`MultiwayJoin::continue_join_generic`) enumerates the same
+//! depth-first candidate sequence by interpretation: the posting cursor
+//! yields exactly the positions `HashIndex::next_ge` would visit
+//! (postings are sorted ascending). Accepted tuples and their order are
+//! therefore identical; the differential properties in
+//! `tests/property.rs` and `tests/fuzz_differential.rs` check this byte
+//! for byte.
 
-use crate::key::{JumpKind, KernelKey, MAX_KERNEL_TABLES, MIN_KERNEL_TABLES};
 use crate::sink::{ContinueResult, ResultSink};
-use skinner_query::BoundPred;
+use skinner_query::{BoundPred, MAX_TABLES};
 use skinner_storage::{Column, HashIndex, RowId};
 
-/// The tuple-advance source at one compiled position.
+/// The tuple-advance source at one join-order position.
 #[derive(Debug, Clone, Copy)]
 pub enum KernelJump<'a> {
     /// No index: candidates are consecutive filtered positions.
@@ -101,20 +108,7 @@ pub enum KernelJump<'a> {
     },
 }
 
-impl KernelJump<'_> {
-    /// The shape-level kind of this jump.
-    pub fn kind(&self) -> JumpKind {
-        match self {
-            KernelJump::Scan => JumpKind::Scan,
-            KernelJump::IntEq { .. } => JumpKind::Int,
-            KernelJump::FloatEq { .. } => JumpKind::Float,
-            KernelJump::FusedEq { .. } => JumpKind::Fused,
-            KernelJump::KeyEq { .. } => JumpKind::Key,
-        }
-    }
-}
-
-/// One fully compiled join-order position.
+/// One bound join-order position.
 #[derive(Debug, Clone)]
 pub struct KernelPosition<'a> {
     /// The table joined at this position (indexes `rows` and `state`).
@@ -134,111 +128,79 @@ pub struct KernelPosition<'a> {
     pub elided: bool,
 }
 
-/// Which monomorphized kernel family executes an order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelClass {
-    /// Position 0 scans; every later position has an [`KernelJump::IntEq`]
-    /// jump — the indexed FK-chain hot shape, compiled with zero jump
-    /// dispatch.
-    IntChain,
-    /// Position 0 scans; every later position has a
-    /// [`KernelJump::FusedEq`] jump — the composite-key link-table hot
-    /// shape (JOB-style correlated joins), compiled with zero jump
-    /// dispatch.
-    FusedChain,
-    /// Position 0 scans; every later position has a
-    /// [`KernelJump::KeyEq`] jump (string/nullable key chains) —
-    /// compiled with zero jump dispatch.
-    KeyChain,
-    /// Every position scans (no usable indexes) — compiled with zero
-    /// jump dispatch.
-    Scan,
-    /// Any genuinely heterogeneous supported mix (e.g. float jumps,
-    /// partial index coverage, int + fused): one jump-kind match per
-    /// establish. The homogeneous chains above exist precisely so the
-    /// hot shapes never pay this dispatch.
-    Mixed,
-}
-
-impl KernelClass {
-    /// Classify a supported shape from its per-position jump kinds
-    /// (position 0 must be `Scan`; `Other` kinds are the caller's job to
-    /// reject via [`KernelKey::supported`]).
-    pub fn of(kinds: impl IntoIterator<Item = JumpKind>) -> KernelClass {
-        let kinds: Vec<JumpKind> = kinds.into_iter().collect();
-        let chain = |k: JumpKind| {
-            kinds.len() > 1 && kinds[0] == JumpKind::Scan && kinds[1..].iter().all(|&x| x == k)
+impl<'a> KernelPosition<'a> {
+    /// Open this position's candidate sequence for the current
+    /// predecessor tuple in `rows`, starting at candidate `min`: the one
+    /// jump match per descent. Returns the rest of the posting list (empty
+    /// for scans) and the first candidate (`card` when there is none).
+    #[inline(always)]
+    fn open(&self, rows: &[RowId], min: u32) -> (&'a [u32], u32) {
+        let list = match self.jump {
+            KernelJump::Scan => return (&[], min),
+            KernelJump::IntEq { keys, src, index } => index.probe(keys[rows[src] as usize]),
+            KernelJump::FloatEq { keys, src, index } => {
+                index.probe(skinner_storage::f64_key(keys[rows[src] as usize]))
+            }
+            KernelJump::FusedEq { keys, src, index } => match keys[rows[src] as usize] {
+                Some(k) => index.probe(k),
+                None => &[],
+            },
+            KernelJump::KeyEq { col, src, index } => match col.join_key(rows[src] as usize) {
+                Some(k) => index.probe(k),
+                None => &[],
+            },
         };
-        if kinds.iter().all(|&k| k == JumpKind::Scan) {
-            KernelClass::Scan
-        } else if chain(JumpKind::Int) {
-            KernelClass::IntChain
-        } else if chain(JumpKind::Fused) {
-            KernelClass::FusedChain
-        } else if chain(JumpKind::Key) {
-            KernelClass::KeyChain
-        } else {
-            KernelClass::Mixed
+        let list = &list[list.partition_point(|&p| p < min)..];
+        match list.split_first() {
+            Some((&first, rest)) => (rest, first),
+            None => (&[], self.card),
         }
+    }
+
+    fn is_scan(&self) -> bool {
+        matches!(self.jump, KernelJump::Scan)
     }
 }
 
-/// A join order compiled into a specialized kernel: fixed-arity position
-/// array plus the class-typed entry point. Borrows the prepared query's
-/// column slices and indexes (same lifetime discipline as the engine's
-/// bound `OrderPlan`); build one per (query, order) and reuse it across
-/// every time slice and every partitioned chunk.
+/// The candidate after `s`: the next filtered position for a scan, the
+/// next posting (`card` once the list is spent) otherwise.
+#[inline(always)]
+fn advance(scan: bool, rest: &mut &[u32], s: u32, card: u32) -> u32 {
+    if scan {
+        return s + 1;
+    }
+    match rest.split_first() {
+        Some((&next, tail)) => {
+            *rest = tail;
+            next
+        }
+        None => card,
+    }
+}
+
+/// A join order bound into kernel positions. Borrows the prepared
+/// query's column slices and indexes; bind one per (query, order) and
+/// reuse it across every time slice and every partitioned chunk.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel<'a> {
-    key: KernelKey,
-    class: KernelClass,
     positions: Vec<KernelPosition<'a>>,
 }
 
 impl<'a> CompiledKernel<'a> {
-    /// Assemble a kernel from compiled positions. Returns `None` when no
-    /// specialized kernel exists for the shape (arity outside
-    /// [`MIN_KERNEL_TABLES`]`..=`[`MAX_KERNEL_TABLES`] — longer orders
-    /// compile a `MAX`-position prefix instead, see the engine's split
-    /// tier).
-    pub fn new(key: KernelKey, positions: Vec<KernelPosition<'a>>) -> Option<CompiledKernel<'a>> {
-        let m = positions.len();
-        if !(MIN_KERNEL_TABLES..=MAX_KERNEL_TABLES).contains(&m) || !key.supported() {
-            return None;
-        }
-        debug_assert_eq!(key.tables(), m);
-        let class = KernelClass::of(positions.iter().map(|p| p.jump.kind()));
-        Some(CompiledKernel {
-            key,
-            class,
-            positions,
-        })
-    }
-
-    /// Like [`new`](CompiledKernel::new), but forcing the general
-    /// [`KernelClass::Mixed`] entry point even when a dispatch-free
-    /// chain class exists for the shape. The per-establish jump match
-    /// this re-introduces is what `benches/join_fused.rs` measures;
-    /// differential tests use it to prove the chain classes and the
-    /// general class enumerate identical tuples.
-    pub fn with_mixed_class(
-        key: KernelKey,
-        positions: Vec<KernelPosition<'a>>,
-    ) -> Option<CompiledKernel<'a>> {
-        CompiledKernel::new(key, positions).map(|mut k| {
-            k.class = KernelClass::Mixed;
-            k
-        })
-    }
-
-    /// The shape key this kernel was compiled for.
-    pub fn key(&self) -> &KernelKey {
-        &self.key
-    }
-
-    /// The kernel family executing this order.
-    pub fn class(&self) -> KernelClass {
-        self.class
+    /// Assemble a kernel from bound positions, in join order.
+    ///
+    /// # Panics
+    ///
+    /// If there are no positions or more than [`MAX_TABLES`], or if the
+    /// left-most position has an index jump (it has no predecessor).
+    pub fn new(positions: Vec<KernelPosition<'a>>) -> CompiledKernel<'a> {
+        assert!(
+            (1..=MAX_TABLES).contains(&positions.len()),
+            "join orders have 1..={MAX_TABLES} tables, not {}",
+            positions.len()
+        );
+        assert!(positions[0].is_scan(), "the left-most position must scan");
+        CompiledKernel { positions }
     }
 
     /// Number of join-order positions.
@@ -246,7 +208,7 @@ impl<'a> CompiledKernel<'a> {
         self.positions.len()
     }
 
-    /// The compiled positions (introspection and tests).
+    /// The bound positions (introspection and tests).
     pub fn positions(&self) -> &[KernelPosition<'a>] {
         &self.positions
     }
@@ -262,16 +224,19 @@ impl<'a> CompiledKernel<'a> {
         self.positions[0].card
     }
 
-    /// Execute the compiled kernel from cursor `state` (indexed by table
-    /// id, filtered positions) for at most `budget` outer-loop steps,
-    /// with the left-most coordinate bounded by `end0` (sequential
-    /// callers pass [`card0`](CompiledKernel::card0); partitioned chunk
-    /// workers pass their chunk's upper bound). Result tuples go to
-    /// `results`; `offsets` are the global per-table floors; `rows` is
-    /// the caller's per-table base-row scratch. Semantics — including
-    /// the suspend/resume cursor contract and emit order — match the
-    /// engine's plan-bound kernel exactly.
-    #[allow(clippy::too_many_arguments)]
+    /// Execute the kernel from cursor `state` (indexed by table id,
+    /// filtered positions) for at most `budget` steps, with the
+    /// left-most coordinate bounded by `end0` (sequential callers pass
+    /// [`card0`](CompiledKernel::card0); partitioned chunk workers pass
+    /// their chunk's upper bound). Result tuples go to `results`;
+    /// `offsets` are the global per-table floors; `rows` is the caller's
+    /// per-table base-row scratch.
+    ///
+    /// Cursor contract: on entry `state` holds restored per-table
+    /// coordinates; on `BudgetSpent` it holds the exact resume point
+    /// (the not-yet-evaluated candidate at the active position, floors
+    /// below it); on `Exhausted` the left-most coordinate is at or past
+    /// `end0`. The returned step count never exceeds `budget`.
     pub fn run<R: ResultSink>(
         &self,
         offsets: &[u32],
@@ -281,394 +246,89 @@ impl<'a> CompiledKernel<'a> {
         rows: &mut [RowId],
         results: &mut R,
     ) -> (ContinueResult, u64) {
-        macro_rules! dispatch {
-            ($($m:literal),*) => {
-                match (self.positions.len(), self.class) {
-                    $(
-                        ($m, KernelClass::IntChain) => run_kernel::<$m, IntChain, R>(
-                            self.positions[..].try_into().expect("arity"),
-                            offsets, state, budget, end0, rows, results,
-                        ),
-                        ($m, KernelClass::FusedChain) => run_kernel::<$m, FusedChain, R>(
-                            self.positions[..].try_into().expect("arity"),
-                            offsets, state, budget, end0, rows, results,
-                        ),
-                        ($m, KernelClass::KeyChain) => run_kernel::<$m, KeyChain, R>(
-                            self.positions[..].try_into().expect("arity"),
-                            offsets, state, budget, end0, rows, results,
-                        ),
-                        ($m, KernelClass::Scan) => run_kernel::<$m, ScanOnly, R>(
-                            self.positions[..].try_into().expect("arity"),
-                            offsets, state, budget, end0, rows, results,
-                        ),
-                        ($m, KernelClass::Mixed) => run_kernel::<$m, Mixed, R>(
-                            self.positions[..].try_into().expect("arity"),
-                            offsets, state, budget, end0, rows, results,
-                        ),
-                    )*
-                    (m, _) => unreachable!("no compiled kernel for {m} tables"),
+        let ps = self.positions.as_slice();
+        let last = ps.len() - 1;
+        let t0 = ps[0].table;
+        if state[t0] >= end0 {
+            return (ContinueResult::Exhausted, 0);
+        }
+        // Unspent posting list per position (empty for scans). Deeper
+        // positions are opened as the walk-down descends, each with the
+        // by-then-current predecessor tuple — the O(m) re-walk the
+        // suspend/resume contract requires.
+        let mut rest: [&[u32]; MAX_TABLES] = [&[]; MAX_TABLES];
+        let mut steps = 0u64;
+        let mut i = 0usize;
+        loop {
+            let pos = &ps[i];
+            let t = pos.table;
+            let bound = if i == 0 { end0 } else { pos.card };
+            if i == last {
+                // Leaf loop: the same accounting as the descent below,
+                // with the position's fields hoisted.
+                let (scan, card, base, preds) = (pos.is_scan(), pos.card, pos.base, &pos.preds[..]);
+                let mut cur = rest[i];
+                let mut s = state[t];
+                loop {
+                    steps += 1;
+                    // Per-step sink poll: lets a partitioned LIMIT worker
+                    // with a match-free chunk observe the shared quota;
+                    // statically false for plain sinks.
+                    if steps > budget || results.is_full() {
+                        state[t] = s;
+                        return (ContinueResult::BudgetSpent, steps - 1);
+                    }
+                    if s >= bound {
+                        state[t] = s;
+                        break;
+                    }
+                    rows[t] = base[s as usize];
+                    let ok = preds.iter().all(|p| p.eval(rows));
+                    // Advance past the candidate *before* any sink-driven
+                    // early exit (LIMIT pushdown), so a resumed slice
+                    // always makes progress even when the suspension was
+                    // triggered by a re-emission of an earlier slice's
+                    // tuple (the partitioned quota counter counts those).
+                    s = advance(scan, &mut cur, s, card);
+                    if ok {
+                        results.insert(rows);
+                        if results.is_full() {
+                            state[t] = s;
+                            return (ContinueResult::BudgetSpent, steps);
+                        }
+                    }
                 }
-            };
-        }
-        dispatch!(2, 3, 4, 5, 6)
-    }
-}
-
-/// Candidate cursor at one position: either a posting-list walk
-/// (`list`/`idx`) or a consecutive scan (`scan`). Which field is live is
-/// statically known per class (the `postings` flag exists only for the
-/// [`Mixed`] class).
-#[derive(Clone, Copy)]
-struct CandCur<'a> {
-    list: &'a [u32],
-    idx: u32,
-    scan: u32,
-    postings: bool,
-}
-
-impl CandCur<'_> {
-    const EMPTY: CandCur<'static> = CandCur {
-        list: &[],
-        idx: 0,
-        scan: 0,
-        postings: false,
-    };
-}
-
-#[inline(always)]
-fn begin_scan<'a>(min: u32) -> (CandCur<'a>, u32) {
-    (
-        CandCur {
-            list: &[],
-            idx: 0,
-            scan: min.saturating_add(1),
-            postings: false,
-        },
-        min,
-    )
-}
-
-#[inline(always)]
-fn next_scan(cur: &mut CandCur<'_>) -> u32 {
-    let c = cur.scan;
-    cur.scan = c.saturating_add(1);
-    c
-}
-
-#[inline(always)]
-fn begin_postings<'a>(index: &'a HashIndex, key: i64, min: u32, card: u32) -> (CandCur<'a>, u32) {
-    let list = index.probe(key);
-    let idx = list.partition_point(|&p| p < min) as u32;
-    let first = list.get(idx as usize).copied().unwrap_or(card);
-    (
-        CandCur {
-            list,
-            idx: idx + 1,
-            scan: 0,
-            postings: true,
-        },
-        first,
-    )
-}
-
-#[inline(always)]
-fn next_postings(cur: &mut CandCur<'_>, card: u32) -> u32 {
-    let c = cur.list.get(cur.idx as usize).copied().unwrap_or(card);
-    cur.idx += 1;
-    c
-}
-
-/// Posting-cursor establish for hash-derived keys (fused composite keys,
-/// string/nullable join keys): a `Some` key probes like any other
-/// posting jump; a `None` key is a NULL and yields **no** candidates —
-/// the same null-reject as the plan-bound kernel's `None => pos.card`
-/// (three-valued equality: NULL never matches, not even NULL).
-#[inline(always)]
-fn begin_keyed<'a>(
-    index: &'a HashIndex,
-    key: Option<i64>,
-    min: u32,
-    card: u32,
-) -> (CandCur<'a>, u32) {
-    match key {
-        Some(k) => begin_postings(index, k, min, card),
-        None => (
-            CandCur {
-                list: &[],
-                idx: 0,
-                scan: 0,
-                postings: true,
-            },
-            card,
-        ),
-    }
-}
-
-/// Class-typed candidate iteration: the monomorphization axis that
-/// removes jump dispatch from the hot loop.
-trait ClassSpec {
-    /// Establish the candidate sequence at position `i` with minimum
-    /// candidate `min`; returns the cursor and the first candidate
-    /// (`card` when exhausted).
-    fn begin<'a>(
-        i: usize,
-        pos: &KernelPosition<'a>,
-        rows: &[RowId],
-        min: u32,
-    ) -> (CandCur<'a>, u32);
-    /// The next candidate at position `i` (`card` when exhausted).
-    fn next(pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32;
-}
-
-/// FK-chain hot shape: position 0 scans, positions 1.. walk integer
-/// posting lists. No jump dispatch survives monomorphization.
-struct IntChain;
-
-impl ClassSpec for IntChain {
-    #[inline(always)]
-    fn begin<'a>(
-        i: usize,
-        pos: &KernelPosition<'a>,
-        rows: &[RowId],
-        min: u32,
-    ) -> (CandCur<'a>, u32) {
-        if i == 0 {
-            begin_scan(min)
-        } else {
-            match pos.jump {
-                KernelJump::IntEq { keys, src, index } => {
-                    begin_postings(index, keys[rows[src] as usize], min, pos.card)
+            } else {
+                steps += 1;
+                if steps > budget || results.is_full() {
+                    return (ContinueResult::BudgetSpent, steps - 1);
                 }
-                _ => unreachable!("IntChain position without IntEq jump"),
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn next(pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32 {
-        if cur.postings {
-            next_postings(cur, pos.card)
-        } else {
-            next_scan(cur)
-        }
-    }
-}
-
-/// Composite-key link-table hot shape: position 0 scans, positions 1..
-/// walk fused-key posting lists. No jump dispatch survives
-/// monomorphization.
-struct FusedChain;
-
-impl ClassSpec for FusedChain {
-    #[inline(always)]
-    fn begin<'a>(
-        i: usize,
-        pos: &KernelPosition<'a>,
-        rows: &[RowId],
-        min: u32,
-    ) -> (CandCur<'a>, u32) {
-        if i == 0 {
-            begin_scan(min)
-        } else {
-            match pos.jump {
-                KernelJump::FusedEq { keys, src, index } => {
-                    begin_keyed(index, keys[rows[src] as usize], min, pos.card)
+                let s = state[t];
+                if s < bound {
+                    rows[t] = pos.base[s as usize];
+                    if pos.preds.iter().all(|p| p.eval(rows)) {
+                        i += 1;
+                        let next = &ps[i];
+                        let (list, first) = next.open(rows, state[next.table]);
+                        rest[i] = list;
+                        state[next.table] = first;
+                    } else {
+                        state[t] = advance(pos.is_scan(), &mut rest[i], s, pos.card);
+                    }
+                    continue;
                 }
-                _ => unreachable!("FusedChain position without FusedEq jump"),
             }
-        }
-    }
-
-    #[inline(always)]
-    fn next(pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32 {
-        if cur.postings {
-            next_postings(cur, pos.card)
-        } else {
-            next_scan(cur)
-        }
-    }
-}
-
-/// String/nullable key-chain shape: position 0 scans, positions 1..
-/// walk `join_key`-driven posting lists. No jump dispatch survives
-/// monomorphization.
-struct KeyChain;
-
-impl ClassSpec for KeyChain {
-    #[inline(always)]
-    fn begin<'a>(
-        i: usize,
-        pos: &KernelPosition<'a>,
-        rows: &[RowId],
-        min: u32,
-    ) -> (CandCur<'a>, u32) {
-        if i == 0 {
-            begin_scan(min)
-        } else {
-            match pos.jump {
-                KernelJump::KeyEq { col, src, index } => {
-                    begin_keyed(index, col.join_key(rows[src] as usize), min, pos.card)
-                }
-                _ => unreachable!("KeyChain position without KeyEq jump"),
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn next(pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32 {
-        if cur.postings {
-            next_postings(cur, pos.card)
-        } else {
-            next_scan(cur)
-        }
-    }
-}
-
-/// Pure scan shape (no usable indexes): candidates are consecutive
-/// filtered positions everywhere.
-struct ScanOnly;
-
-impl ClassSpec for ScanOnly {
-    #[inline(always)]
-    fn begin<'a>(
-        _i: usize,
-        _pos: &KernelPosition<'a>,
-        _rows: &[RowId],
-        min: u32,
-    ) -> (CandCur<'a>, u32) {
-        begin_scan(min)
-    }
-
-    #[inline(always)]
-    fn next(_pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32 {
-        next_scan(cur)
-    }
-}
-
-/// Arbitrary supported mix: one jump-kind match per establish (the
-/// advance itself is dispatch-free — it only branches on the cursor's
-/// postings flag). Homogeneous shapes never land here; see the chain
-/// classes.
-struct Mixed;
-
-impl ClassSpec for Mixed {
-    #[inline(always)]
-    fn begin<'a>(
-        _i: usize,
-        pos: &KernelPosition<'a>,
-        rows: &[RowId],
-        min: u32,
-    ) -> (CandCur<'a>, u32) {
-        match pos.jump {
-            KernelJump::Scan => begin_scan(min),
-            KernelJump::IntEq { keys, src, index } => {
-                begin_postings(index, keys[rows[src] as usize], min, pos.card)
-            }
-            KernelJump::FloatEq { keys, src, index } => {
-                let key = skinner_storage::f64_key(keys[rows[src] as usize]);
-                begin_postings(index, key, min, pos.card)
-            }
-            KernelJump::FusedEq { keys, src, index } => {
-                begin_keyed(index, keys[rows[src] as usize], min, pos.card)
-            }
-            KernelJump::KeyEq { col, src, index } => {
-                begin_keyed(index, col.join_key(rows[src] as usize), min, pos.card)
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn next(pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32 {
-        if cur.postings {
-            next_postings(cur, pos.card)
-        } else {
-            next_scan(cur)
-        }
-    }
-}
-
-/// The compiled DFS join loop, monomorphized per (arity, class, sink).
-///
-/// Cursor contract (identical to the engine's plan-bound kernel): on
-/// entry `state` holds restored per-table coordinates; on `BudgetSpent`
-/// it holds the exact resume point (the not-yet-evaluated candidate at
-/// the active position, floors below it); on `Exhausted` the left-most
-/// coordinate is at or past `end0`.
-#[allow(clippy::too_many_arguments)]
-fn run_kernel<const M: usize, C: ClassSpec, R: ResultSink>(
-    positions: &[KernelPosition<'_>; M],
-    offsets: &[u32],
-    state: &mut [u32],
-    budget: u64,
-    end0: u32,
-    rows: &mut [RowId],
-    results: &mut R,
-) -> (ContinueResult, u64) {
-    let t0 = positions[0].table;
-    if state[t0] >= end0 {
-        return (ContinueResult::Exhausted, 0);
-    }
-    let mut curs = [CandCur::EMPTY; M];
-    let mut i = 0usize;
-    let mut steps = 0u64;
-    // Establish position 0 at the restored coordinate; deeper positions
-    // are established as the walk-down descends (each `begin` re-probes
-    // with the by-then-current predecessor tuple — the O(m) re-walk the
-    // suspend/resume contract requires).
-    {
-        let (cur, first) = C::begin(0, &positions[0], rows, state[t0]);
-        curs[0] = cur;
-        state[t0] = first;
-    }
-    loop {
-        steps += 1;
-        if steps > budget {
-            return (ContinueResult::BudgetSpent, steps - 1);
-        }
-        // Per-step sink poll (see the plan-bound kernel): lets a
-        // partitioned LIMIT worker with a match-free chunk observe the
-        // shared quota; statically false for plain sinks.
-        if results.is_full() {
-            return (ContinueResult::BudgetSpent, steps - 1);
-        }
-        let pos = &positions[i];
-        let t = pos.table;
-        let bound = if i == 0 { end0 } else { pos.card };
-        let s = state[t];
-        if s >= bound {
-            // Candidates exhausted here: reset to the floor, backtrack,
-            // advance the predecessor.
+            // Candidates exhausted at position `i` (within the step that
+            // found it): reset to the floor, backtrack, advance the
+            // predecessor.
             if i == 0 {
                 return (ContinueResult::Exhausted, steps);
             }
             state[t] = offsets[t];
             i -= 1;
-            let prev = &positions[i];
-            state[prev.table] = C::next(prev, &mut curs[i]);
-            continue;
-        }
-        rows[t] = pos.base[s as usize];
-        if pos.preds.iter().all(|p| p.eval(rows)) {
-            if i + 1 == M {
-                results.insert(rows);
-                // Advance past the emitted tuple *before* any sink-driven
-                // early exit (LIMIT pushdown), so a resumed slice always
-                // makes progress even when the suspension was triggered
-                // by a re-emission of an earlier slice's tuple (the
-                // partitioned path's shared quota counter counts those).
-                state[t] = C::next(pos, &mut curs[i]);
-                if results.is_full() {
-                    return (ContinueResult::BudgetSpent, steps);
-                }
-            } else {
-                i += 1;
-                let nxt = &positions[i];
-                let (cur, first) = C::begin(i, nxt, rows, state[nxt.table]);
-                curs[i] = cur;
-                state[nxt.table] = first;
-            }
-        } else {
-            state[t] = C::next(pos, &mut curs[i]);
+            let prev = &ps[i];
+            let p = prev.table;
+            state[p] = advance(prev.is_scan(), &mut rest[i], state[p], prev.card);
         }
     }
 }
@@ -676,7 +336,6 @@ fn run_kernel<const M: usize, C: ClassSpec, R: ResultSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::JumpKind;
     use skinner_query::{CompiledPred, Expr};
     use skinner_storage::table::TableRef;
     use skinner_storage::{Column, ColumnDef, Schema, Table, ValueType};
@@ -702,6 +361,25 @@ mod tests {
         fn is_full(&self) -> bool {
             self.full_at.is_some_and(|n| self.tuples.len() >= n)
         }
+    }
+
+    /// Run `k` from a fresh cursor to exhaustion in one slice.
+    fn run_all(k: &CompiledKernel<'_>) -> Vec<Vec<RowId>> {
+        let m = k.positions().iter().map(|p| p.table).max().unwrap() + 1;
+        let offsets = vec![0u32; m];
+        let mut state = vec![0u32; m];
+        let mut rows = vec![0u32; m];
+        let mut out = Collect::default();
+        let (res, _) = k.run(
+            &offsets,
+            &mut state,
+            u64::MAX,
+            k.card0(),
+            &mut rows,
+            &mut out,
+        );
+        assert_eq!(res, ContinueResult::Exhausted);
+        out.tuples
     }
 
     /// Two int-keyed tables, every row filtered in (identity base maps).
@@ -730,6 +408,17 @@ mod tests {
         (0..n as u32).collect()
     }
 
+    fn scan_position(table: usize, base: &[RowId]) -> KernelPosition<'_> {
+        KernelPosition {
+            table,
+            card: base.len() as u32,
+            base,
+            preds: vec![],
+            jump: KernelJump::Scan,
+            elided: false,
+        }
+    }
+
     /// Build the 2-table kernel `a ⋈ b on k`, int jump at position 1
     /// with the equality elided.
     fn int_join_kernel<'a>(
@@ -742,15 +431,8 @@ mod tests {
     ) -> CompiledKernel<'a> {
         let keys = ts[0].column(0).ints().unwrap();
         let preds1: Vec<BoundPred<'a>> = if elide { vec![] } else { vec![pred.bind(ts)] };
-        let positions = vec![
-            KernelPosition {
-                table: 0,
-                card: 4,
-                base: b0,
-                preds: vec![],
-                jump: KernelJump::Scan,
-                elided: false,
-            },
+        CompiledKernel::new(vec![
+            scan_position(0, b0),
             KernelPosition {
                 table: 1,
                 card: 4,
@@ -763,14 +445,7 @@ mod tests {
                 },
                 elided: elide,
             },
-        ];
-        let key = KernelKey::new(
-            2,
-            positions
-                .iter()
-                .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
-        );
-        CompiledKernel::new(key, positions).expect("supported")
+        ])
     }
 
     #[test]
@@ -782,21 +457,7 @@ mod tests {
         let expected = vec![vec![0, 1], vec![1, 0], vec![1, 2], vec![3, 0], vec![3, 2]];
         for elide in [true, false] {
             let k = int_join_kernel(&ts, &b0, &b1, &idx, elide, &pred);
-            assert_eq!(k.class(), KernelClass::IntChain);
-            let offsets = vec![0u32; 2];
-            let mut state = vec![0u32; 2];
-            let mut rows = vec![0u32; 2];
-            let mut out = Collect::default();
-            let (res, _) = k.run(
-                &offsets,
-                &mut state,
-                u64::MAX,
-                k.card0(),
-                &mut rows,
-                &mut out,
-            );
-            assert_eq!(res, ContinueResult::Exhausted);
-            assert_eq!(out.tuples, expected, "elide {elide}");
+            assert_eq!(run_all(&k), expected, "elide {elide}");
         }
     }
 
@@ -822,12 +483,14 @@ mod tests {
 
         // Budgets at or above the livelock clamp (4·m, like the slice
         // driver enforces) but well below the one-shot step count, so
-        // every run genuinely slices and resumes.
+        // every run genuinely slices and resumes — and the slices add up
+        // to exactly the one-shot step count.
         for budget in 8..14u64 {
             assert!(total_steps > budget, "workload too small to slice");
             let mut sliced = Collect::default();
             let mut state = vec![0u32; 2];
             let mut slices = 0;
+            let mut sum = 0;
             loop {
                 slices += 1;
                 assert!(slices < 1000, "no termination at budget {budget}");
@@ -840,12 +503,21 @@ mod tests {
                     &mut sliced,
                 );
                 assert!(steps <= budget);
+                sum += steps;
                 if res == ContinueResult::Exhausted {
                     break;
                 }
+                assert_eq!(steps, budget, "a suspended slice spends its budget");
             }
             assert_eq!(sliced.tuples, one_shot.tuples, "budget {budget}");
             assert!(slices > 1);
+            // Each resume re-walks the restored left-most coordinate (one
+            // step); a resume already past the end skips the final
+            // exhaustion step.
+            assert!(
+                sum + 1 >= total_steps && sum < total_steps + slices,
+                "budget {budget}"
+            );
         }
     }
 
@@ -927,53 +599,15 @@ mod tests {
         let idx = HashIndex::build(ts[1].column(0), Some(&b1));
         let pred = CompiledPred::compile(&Expr::col(0, 0).eq(Expr::col(1, 0)), &ts);
         let indexed = int_join_kernel(&ts, &b0, &b1, &idx, true, &pred);
-        // Same join compiled as a pure scan (no index available).
-        let positions = vec![
-            KernelPosition {
-                table: 0,
-                card: 4,
-                base: &b0,
-                preds: vec![],
-                jump: KernelJump::Scan,
-                elided: false,
-            },
-            KernelPosition {
-                table: 1,
-                card: 4,
-                base: &b1,
-                preds: vec![pred.bind(&ts)],
-                jump: KernelJump::Scan,
-                elided: false,
-            },
-        ];
-        let key = KernelKey::new(
-            2,
-            positions
-                .iter()
-                .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
-        );
-        let scan = CompiledKernel::new(key, positions).expect("supported");
-        assert_eq!(scan.class(), KernelClass::Scan);
-        let offsets = vec![0u32; 2];
-        let mut rows = vec![0u32; 2];
-        let mut run = |k: &CompiledKernel<'_>| {
-            let mut state = vec![0u32; 2];
-            let mut out = Collect::default();
-            k.run(
-                &offsets,
-                &mut state,
-                u64::MAX,
-                k.card0(),
-                &mut rows,
-                &mut out,
-            );
-            out.tuples
-        };
-        assert_eq!(run(&scan), run(&indexed));
+        // Same join bound as a pure scan (no index available).
+        let mut probe = scan_position(1, &b1);
+        probe.preds = vec![pred.bind(&ts)];
+        let scan = CompiledKernel::new(vec![scan_position(0, &b0), probe]);
+        assert_eq!(run_all(&scan), run_all(&indexed));
     }
 
     #[test]
-    fn float_keys_take_mixed_class_and_reverify() {
+    fn float_keys_reverify() {
         let ts: Vec<TableRef> = vec![
             Arc::new(
                 Table::new(
@@ -996,15 +630,8 @@ mod tests {
         let idx = HashIndex::build(ts[1].column(0), Some(&b1));
         let pred = CompiledPred::compile(&Expr::col(0, 0).eq(Expr::col(1, 0)), &ts);
         let keys = ts[0].column(0).floats().unwrap();
-        let positions = vec![
-            KernelPosition {
-                table: 0,
-                card: 3,
-                base: &b0,
-                preds: vec![],
-                jump: KernelJump::Scan,
-                elided: false,
-            },
+        let k = CompiledKernel::new(vec![
+            scan_position(0, &b0),
             KernelPosition {
                 table: 1,
                 card: 3,
@@ -1017,70 +644,8 @@ mod tests {
                 },
                 elided: false,
             },
-        ];
-        let key = KernelKey::new(
-            2,
-            positions
-                .iter()
-                .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
-        );
-        let k = CompiledKernel::new(key, positions).expect("supported");
-        assert_eq!(k.class(), KernelClass::Mixed);
-        assert_eq!(k.key().jump(1), JumpKind::Float);
-        let offsets = vec![0u32; 2];
-        let mut state = vec![0u32; 2];
-        let mut rows = vec![0u32; 2];
-        let mut out = Collect::default();
-        let (res, _) = k.run(
-            &offsets,
-            &mut state,
-            u64::MAX,
-            k.card0(),
-            &mut rows,
-            &mut out,
-        );
-        assert_eq!(res, ContinueResult::Exhausted);
-        assert_eq!(out.tuples, vec![vec![0, 1], vec![1, 0], vec![1, 2]]);
-    }
-
-    /// Build the 2-table fused-key kernel over precomputed key vectors:
-    /// src keys (per base row of table 0) drive a composite index over
-    /// table 1's filtered positions. `None` keys are NULL components.
-    fn fused_kernel<'a>(
-        src_keys: &'a [Option<i64>],
-        idx: &'a HashIndex,
-        b0: &'a [RowId],
-        b1: &'a [RowId],
-    ) -> CompiledKernel<'a> {
-        let positions = vec![
-            KernelPosition {
-                table: 0,
-                card: b0.len() as u32,
-                base: b0,
-                preds: vec![],
-                jump: KernelJump::Scan,
-                elided: false,
-            },
-            KernelPosition {
-                table: 1,
-                card: b1.len() as u32,
-                base: b1,
-                preds: vec![],
-                jump: KernelJump::FusedEq {
-                    keys: src_keys,
-                    src: 0,
-                    index: idx,
-                },
-                elided: false,
-            },
-        ];
-        let key = KernelKey::new(
-            2,
-            positions
-                .iter()
-                .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
-        );
-        CompiledKernel::new(key, positions).expect("fused shapes compile")
+        ]);
+        assert_eq!(run_all(&k), vec![vec![0, 1], vec![1, 0], vec![1, 2]]);
     }
 
     #[test]
@@ -1091,53 +656,20 @@ mod tests {
         let probe_keys = vec![Some(20i64), Some(10), Some(10), None];
         let idx = HashIndex::from_keys(&probe_keys);
         let (b0, b1) = (base(3), base(4));
-        let k = fused_kernel(&src_keys, &idx, &b0, &b1);
-        assert_eq!(k.class(), KernelClass::FusedChain);
-        assert_eq!(k.key().jump(1), JumpKind::Fused);
-        let offsets = vec![0u32; 2];
-        let mut state = vec![0u32; 2];
-        let mut rows = vec![0u32; 2];
-        let mut out = Collect::default();
-        let (res, _) = k.run(
-            &offsets,
-            &mut state,
-            u64::MAX,
-            k.card0(),
-            &mut rows,
-            &mut out,
-        );
-        assert_eq!(res, ContinueResult::Exhausted);
+        let k = CompiledKernel::new(vec![
+            scan_position(0, &b0),
+            KernelPosition {
+                jump: KernelJump::FusedEq {
+                    keys: &src_keys,
+                    src: 0,
+                    index: &idx,
+                },
+                ..scan_position(1, &b1)
+            },
+        ]);
         // Row 1 (NULL component) matches nothing; NULL postings (probe
         // row 3) are never enumerated.
-        assert_eq!(out.tuples, vec![vec![0, 1], vec![0, 2], vec![2, 0]]);
-    }
-
-    #[test]
-    fn forced_mixed_class_agrees_with_fused_chain() {
-        let src_keys = vec![Some(10i64), None, Some(20)];
-        let probe_keys = vec![Some(20i64), Some(10), Some(10), None];
-        let idx = HashIndex::from_keys(&probe_keys);
-        let (b0, b1) = (base(3), base(4));
-        let chain = fused_kernel(&src_keys, &idx, &b0, &b1);
-        let mixed = CompiledKernel::with_mixed_class(*chain.key(), chain.positions().to_vec())
-            .expect("supported");
-        assert_eq!(mixed.class(), KernelClass::Mixed);
-        let offsets = vec![0u32; 2];
-        let mut rows = vec![0u32; 2];
-        let mut run = |k: &CompiledKernel<'_>| {
-            let mut state = vec![0u32; 2];
-            let mut out = Collect::default();
-            k.run(
-                &offsets,
-                &mut state,
-                u64::MAX,
-                k.card0(),
-                &mut rows,
-                &mut out,
-            );
-            out.tuples
-        };
-        assert_eq!(run(&chain), run(&mixed));
+        assert_eq!(run_all(&k), vec![vec![0, 1], vec![0, 2], vec![2, 0]]);
     }
 
     #[test]
@@ -1151,73 +683,61 @@ mod tests {
         let b_col = Column::from_strs(["y", "x", "z", "x"]);
         let (b0, b1) = (base(3), base(4));
         let idx = HashIndex::build(&b_col, Some(&b1));
-        let positions = vec![
+        let k = CompiledKernel::new(vec![
+            scan_position(0, &b0),
             KernelPosition {
-                table: 0,
-                card: 3,
-                base: &b0,
-                preds: vec![],
-                jump: KernelJump::Scan,
-                elided: false,
-            },
-            KernelPosition {
-                table: 1,
-                card: 4,
-                base: &b1,
-                preds: vec![],
                 jump: KernelJump::KeyEq {
                     col: &a_col,
                     src: 0,
                     index: &idx,
                 },
-                elided: false,
+                ..scan_position(1, &b1)
             },
-        ];
-        let key = KernelKey::new(
-            2,
-            positions
-                .iter()
-                .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
-        );
-        let k = CompiledKernel::new(key, positions).expect("string keys compile");
-        assert_eq!(k.class(), KernelClass::KeyChain);
-        assert_eq!(k.key().jump(1), JumpKind::Key);
-        let offsets = vec![0u32; 2];
-        let mut state = vec![0u32; 2];
-        let mut rows = vec![0u32; 2];
-        let mut out = Collect::default();
-        let (res, _) = k.run(
-            &offsets,
-            &mut state,
-            u64::MAX,
-            k.card0(),
-            &mut rows,
-            &mut out,
-        );
-        assert_eq!(res, ContinueResult::Exhausted);
+        ]);
         // "x" matches probe rows 1 and 3, NULL matches nothing (not even
         // another NULL), "y" matches probe row 0.
-        assert_eq!(out.tuples, vec![vec![0, 1], vec![0, 3], vec![2, 0]]);
+        assert_eq!(run_all(&k), vec![vec![0, 1], vec![0, 3], vec![2, 0]]);
+    }
+
+    #[test]
+    fn single_table_order_runs() {
+        // One position is both the root and the leaf: the leaf loop
+        // runs against `end0`, and a suspended slice resumes exactly.
+        let b0 = base(5);
+        let k = CompiledKernel::new(vec![scan_position(0, &b0)]);
+        let all: Vec<Vec<RowId>> = (0..5).map(|r| vec![r]).collect();
+        assert_eq!(run_all(&k), all);
+        let offsets = [0u32];
+        let mut state = [0u32];
+        let mut rows = [0u32];
+        let mut out = Collect::default();
+        let (res, steps) = k.run(&offsets, &mut state, 3, 5, &mut rows, &mut out);
+        assert_eq!((res, steps, state[0]), (ContinueResult::BudgetSpent, 3, 3));
+        let (res, steps) = k.run(&offsets, &mut state, 3, 5, &mut rows, &mut out);
+        // Two candidates plus the exhaustion step, ending past `end0`.
+        assert_eq!((res, steps, state[0]), (ContinueResult::Exhausted, 3, 5));
+        assert_eq!(out.tuples, all);
     }
 
     #[test]
     fn unsupported_shapes_refuse_to_build() {
-        let ts = tables();
-        let b0 = base(4);
-        let one = vec![KernelPosition {
-            table: 0,
-            card: 4,
-            base: &b0,
-            preds: vec![],
-            jump: KernelJump::Scan,
-            elided: false,
+        let b0 = base(2);
+        let too_long: Vec<KernelPosition<'_>> =
+            (0..=MAX_TABLES).map(|t| scan_position(t, &b0)).collect();
+        let idx = HashIndex::from_keys(&[Some(1)]);
+        let keys = [1i64, 2];
+        let jump_first = vec![KernelPosition {
+            jump: KernelJump::IntEq {
+                keys: &keys,
+                src: 0,
+                index: &idx,
+            },
+            ..scan_position(0, &b0)
         }];
-        let key = KernelKey::new(
-            1,
-            one.iter()
-                .map(|p| (p.jump.kind(), p.preds.as_slice(), false)),
-        );
-        assert!(CompiledKernel::new(key, one).is_none());
-        let _ = ts;
+        for positions in [Vec::new(), too_long, jump_first] {
+            let build = std::panic::AssertUnwindSafe(|| CompiledKernel::new(positions));
+            let built = std::panic::catch_unwind(build);
+            assert!(built.is_err());
+        }
     }
 }

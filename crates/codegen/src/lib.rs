@@ -1,48 +1,40 @@
 //! # skinner-codegen
 //!
-//! Per-query specialized join kernels: the reproduction's stand-in for
-//! Skinner-C's per-query code generation (§6 of Trummer et al., SIGMOD
-//! 2019).
+//! The join kernel: the reproduction's stand-in for Skinner-C's
+//! per-query code generation (§6 of Trummer et al., SIGMOD 2019).
 //!
 //! The paper compiles each query into a specialized execution loop so
 //! that the millions of per-tuple steps the regret-bounded executor
-//! takes are branch-free. This crate is the safe-Rust analogue, one
-//! layer above the engine's plan-time binding:
+//! takes stay cheap. This crate is the safe-Rust analogue:
+//! [`CompiledKernel`] is a join order *bound* to a prepared query (the
+//! engine's `PreparedQuery::plan_order` produces one per order) and
+//! executed by one depth-first loop (see [`kernel`]):
 //!
-//! * [`KernelKey`] — the *shape* of a (query, order) pair: table count,
-//!   per-position key-column kind, predicate-shape fingerprint. Equal
-//!   keys execute on the same monomorphized kernel instance.
-//! * [`CompiledKernel`] — a bound order compiled into a fixed-arity,
-//!   class-typed DFS loop (see [`kernel`]): const-generic table count
-//!   (2..=6), posting-list cursors instead of per-advance index probes,
-//!   and elision of index-implied equality predicates.
-//! * [`KernelCache`] — memoizes shape resolutions across slices, orders,
-//!   queries, and service sessions, so repeated shapes (including warm
-//!   service-layer templates) skip kernel-construction analysis. The
-//!   cache is byte-accounted and LRU-bounded, so a long-lived server
-//!   seeing unbounded shape diversity stays within budget.
+//! * the position count is a runtime value (1 to
+//!   [`skinner_query::MAX_TABLES`]), with per-position cursors in a
+//!   fixed-capacity stack array, so no slice allocates;
+//! * index-driven positions walk posting-list cursors — one hash probe
+//!   per descent, one slice pop per advance — for integer, float, fused
+//!   composite ([`KernelJump::FusedEq`]) and string/nullable
+//!   ([`KernelJump::KeyEq`], with an explicit null-reject) keys;
+//! * index-implied exact integer equalities are elided;
+//! * the last position runs in a tight leaf loop with its fields
+//!   hoisted, under exactly the same step accounting, so a slice never
+//!   spends more than its step budget.
 //!
-//! The engine (`skinner-engine`) selects between three execution tiers
-//! per join order — generic reference kernel → plan-bound kernel →
-//! compiled kernel. Every multi-table jump shape compiles: integer and
-//! float keys, fused composite keys ([`KernelJump::FusedEq`]), and
-//! string/nullable keys ([`KernelJump::KeyEq`], with an explicit
-//! null-reject). Orders longer than [`MAX_KERNEL_TABLES`] compile a
-//! 6-position prefix that drives the plan-bound suffix through the
-//! [`ResultSink`] seam (the engine's split tier). All tiers speak the
-//! [`ResultSink`] protocol defined here and produce byte-for-byte
-//! identical results; the differential properties in the workspace's
-//! `tests/property.rs` and `tests/fuzz_differential.rs` enforce that.
+//! Every order of every query runs on this one kernel, sequentially or
+//! through the engine's offset-range partitioning. The engine keeps one
+//! other executor, the interpreted `MultiwayJoin::continue_join_generic`,
+//! as the differential oracle; both speak the [`ResultSink`] protocol
+//! defined here and produce byte-for-byte identical results, which the
+//! differential properties in the workspace's `tests/property.rs` and
+//! `tests/fuzz_differential.rs` enforce.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod kernel;
-pub mod key;
 pub mod sink;
 
-pub use cache::{KernelCache, KernelCacheStats, DEFAULT_KERNEL_CACHE_CAPACITY};
-pub use kernel::{CompiledKernel, KernelClass, KernelJump, KernelPosition};
-pub use key::{ClassKey, JumpKind, KernelKey, MAX_KERNEL_TABLES, MIN_KERNEL_TABLES};
+pub use kernel::{CompiledKernel, KernelJump, KernelPosition};
 pub use sink::{ContinueResult, ResultSink};

@@ -1,11 +1,10 @@
 //! The kernel-facing result sink and slice outcome.
 //!
-//! These types used to live in `skinner-engine`'s multiway-join module;
-//! they moved here because every execution tier — the generic reference
-//! kernel, the plan-bound kernel, and the compiled kernels of this crate
-//! — speaks the same two-item protocol: *push result tuples into a
-//! monomorphized sink* and *report how the slice ended*. The engine
-//! re-exports both under their old paths.
+//! Both join executors — the compiled kernel of this crate and the
+//! engine's generic reference kernel — speak the same two-item protocol:
+//! *push result tuples into a monomorphized sink* and *report how the
+//! slice ended*. The engine re-exports both from its multiway-join
+//! module.
 
 use skinner_storage::RowId;
 

@@ -22,14 +22,13 @@
 //! UCT → restore state → run the multi-way join for a fixed step budget →
 //! compute a progress-based reward → update UCT → back up state.
 //!
-//! Each chosen order executes on one of **three tiers** (see
-//! `ARCHITECTURE.md`): the generic reference kernel (differential
-//! oracle), the plan-bound kernel ([`OrderPlan`](prepare::OrderPlan):
-//! typed slices, direct index references), or — for supported shapes —
-//! a compiled kernel from [`skinner_codegen`] (const-generic arity,
-//! posting-list cursors, elided index-implied predicates). Tier
-//! selection is per order with automatic fallback; all tiers produce
-//! byte-for-byte identical results.
+//! Each chosen order is bound once into the compiled join kernel of
+//! [`skinner_codegen`] (see `ARCHITECTURE.md`): typed slices, direct
+//! index references, posting-list cursors and elided index-implied
+//! predicates, for any order of 1 to 64 tables. It is the only executor
+//! the driver uses; the interpreted
+//! [`MultiwayJoin::continue_join_generic`] stays as the differential
+//! oracle, and both produce byte-for-byte identical results.
 //!
 //! Beyond the paper's implementation, the join phase can run each slice
 //! across multiple workers by offset-range partitioning of the
@@ -56,17 +55,14 @@ pub use metrics::ExecMetrics;
 pub use multiway::{ContinueResult, LimitSink, MultiwayJoin, ResultSink};
 pub use partition::PartitionSpec;
 pub use prepare::PreparedQuery;
-// The codegen tier's public surface, re-exported for drivers that
-// compile kernels or share a cross-query kernel cache.
 pub use progress::ProgressTracker;
 pub use reward::RewardKind;
 pub use skinner_c::{
     LearnedState, OrderPolicy, RunOptions, SkinnerC, SkinnerCConfig, SkinnerOutcome, StopReason,
 };
-pub use skinner_codegen::{
-    CompiledKernel, JumpKind, KernelCache, KernelCacheStats, KernelClass, KernelJump, KernelKey,
-    KernelPosition, DEFAULT_KERNEL_CACHE_CAPACITY,
-};
+// The join kernel's types, re-exported for drivers that inspect bound
+// orders (`PreparedQuery::plan_order`).
+pub use skinner_codegen::{CompiledKernel, KernelJump, KernelPosition};
 // The persistent morsel pool and its schedule-perturbation test layer,
 // re-exported so drivers and test harnesses need no direct dependency.
 pub use skinner_pool::{schedule, WorkerPool};

@@ -1,5 +1,4 @@
-//! Depth-first multi-way join with O(1) intermediate state (Algorithm 2),
-//! executed by an *order-specialized* kernel.
+//! Depth-first multi-way join with O(1) intermediate state (Algorithm 2).
 //!
 //! The engine fixes one tuple per predecessor table before considering
 //! tuples of the successor table — a depth-first search over tuple
@@ -8,45 +7,36 @@
 //! walking down from position 0, re-verifying the restored coordinates'
 //! predicates (O(m) work), then continues the lexicographic scan.
 //!
-//! # Bound-plan architecture
+//! # Executors
 //!
 //! SkinnerDB's regret bounds only pay off if per-tuple overhead is tiny;
 //! the paper's Skinner-C compiles each query into specialized code (§6).
-//! Our safe-Rust analogue is *plan-time binding*: an [`OrderPlan`]
-//! resolves every indirection once per (query, order) —
+//! Here every join order is bound once per (query, order) by
+//! [`PreparedQuery::plan_order`] into one [`CompiledKernel`]: typed
+//! predicate slices, direct index references, posting-list cursors and
+//! elided index-implied equalities (see `skinner-codegen`).
+//! [`MultiwayJoin::continue_join`] runs that kernel for one time slice,
+//! sequentially or partitioned across the worker pool, and is the only
+//! executor the Skinner-C driver uses. A slice never spends more than its
+//! step budget.
 //!
-//! * predicates are [`BoundPred`](skinner_query::BoundPred)s holding raw
-//!   typed column slices and an accepted-ordering bitmask, so a predicate
-//!   eval is slice reads plus one AND, with no table/column re-resolution
-//!   and no operator dispatch;
-//! * index jumps hold a direct [`HashIndex`](skinner_storage::HashIndex)
-//!   reference and a specialized key-column accessor, so a tuple advance
-//!   probes the index without the former `(table, column)` map lookup
-//!   (the §4.5 extension for equality predicates: jump to the next
-//!   position whose key matches, via `next_ge`);
-//! * per-position cardinalities and filtered-position slices are cached
-//!   in the plan, so the inner loop never touches the prepared query.
+//! The executor owns a reusable `rows` scratch buffer, and [`ResultSet`]
+//! stores tuples in one flat arena with an open-addressing dedup table —
+//! a result insert (including duplicate attempts from order switches)
+//! allocates nothing in the steady state.
 //!
-//! The executor itself owns a reusable `rows` scratch buffer, and
-//! [`ResultSet`] stores tuples in one flat arena with an open-addressing
-//! dedup table — a result insert (including duplicate attempts from order
-//! switches) allocates nothing in the steady state.
-//!
-//! The pre-refactor interpreted kernel survives as
+//! The interpreted kernel survives as
 //! [`MultiwayJoin::continue_join_generic`]: it re-resolves columns through
 //! [`CompiledPred::eval`](skinner_query::CompiledPred::eval) and probes
 //! the index map per advance. It is the differential-testing oracle and
-//! the baseline that `benches/join_inner_loop.rs` measures the
-//! specialized kernel against. Remaining distance to the paper's design:
-//! true per-query code generation (§6) would fuse the per-position
-//! predicate loops into straight-line code; a JIT or macro-generated
-//! kernel per join-order shape is future work.
+//! the baseline that `benches/join_inner_loop.rs` and
+//! `benches/join_codegen.rs` measure the kernel against.
 
 use crate::partition::{fold_outcomes, ChunkOutcome, PartitionSpec, WorkerScratch};
-use crate::prepare::{BoundPosition, OrderPlan, OrderSpec, PreparedQuery};
+use crate::prepare::{OrderSpec, PreparedQuery};
 use skinner_codegen::CompiledKernel;
-// The sink protocol moved to `skinner-codegen` (every execution tier
-// speaks it); re-exported here under the historical paths.
+// The sink protocol lives in `skinner-codegen` (both executors speak
+// it); re-exported here under the historical paths.
 pub use skinner_codegen::{ContinueResult, ResultSink};
 use skinner_pool::WorkerPool;
 use skinner_query::TableId;
@@ -178,105 +168,6 @@ impl ResultSink for ShardSink<'_> {
     #[inline]
     fn approx_bytes(&self) -> usize {
         self.out.capacity() * std::mem::size_of::<RowId>()
-    }
-}
-
-/// A sink that forwards inserts but never reports full: the split
-/// tier's suffix expansion must run each prefix tuple's suffix to
-/// exhaustion — letting a LIMIT stop mid-suffix would leave a
-/// half-expanded prefix tuple behind the advancing prefix cursor
-/// (missed tuples on resume). Fullness is observed only by the outer
-/// prefix kernel's per-step poll, where the cursor is valid.
-struct Unstoppable<'a, R: ResultSink> {
-    inner: &'a mut R,
-}
-
-impl<R: ResultSink> ResultSink for Unstoppable<'_, R> {
-    #[inline]
-    fn insert(&mut self, tuple: &[RowId]) -> bool {
-        self.inner.insert(tuple)
-    }
-}
-
-/// The split tier's bridge between a compiled prefix kernel and the
-/// plan-bound suffix: every prefix tuple the kernel emits is expanded
-/// through the remaining join-order positions before the kernel
-/// advances.
-///
-/// Soundness hinges on two invariants. (1) Each `insert` runs the
-/// suffix to **exhaustion** (unbounded budget, [`Unstoppable`] inner
-/// sink), so the prefix cursor never advances past a half-expanded
-/// prefix tuple: everything lexicographically below ⟨prefix cursor,
-/// suffix floors⟩ is fully joined. (2) The suffix cursor lives in this
-/// sink's private scratch, reset to the offset floors on every
-/// expansion, and never escapes into the global state — so the slice
-/// cursor the caller persists and restores covers the prefix
-/// coordinates alone, with suffix coordinates pinned at their floors
-/// exactly like the plan-bound tier's end-of-tuple state.
-///
-/// Suffix steps count against `budget`; once spent, `is_full` trips and
-/// the prefix kernel's per-step poll suspends the slice with a valid
-/// cursor (bounded overshoot: at most one prefix tuple's suffix past
-/// the budget).
-struct SuffixSink<'a, 'p, R: ResultSink> {
-    inner: &'a mut R,
-    suffix: &'a [BoundPosition<'p>],
-    offsets: &'a [u32],
-    /// Private suffix cursor (indexed by table id, like all state).
-    state: Vec<u32>,
-    /// Private row buffer seeded from each emitted prefix tuple.
-    rows: Vec<RowId>,
-    /// Suffix steps consumed so far.
-    steps: u64,
-    /// Suffix-step budget for this slice (the chunk budget when
-    /// partitioned).
-    budget: u64,
-}
-
-impl<'a, 'p, R: ResultSink> SuffixSink<'a, 'p, R> {
-    fn new(
-        inner: &'a mut R,
-        suffix: &'a [BoundPosition<'p>],
-        offsets: &'a [u32],
-        budget: u64,
-    ) -> SuffixSink<'a, 'p, R> {
-        SuffixSink {
-            inner,
-            suffix,
-            offsets,
-            state: offsets.to_vec(),
-            rows: vec![0; offsets.len()],
-            steps: 0,
-            budget,
-        }
-    }
-}
-
-impl<R: ResultSink> ResultSink for SuffixSink<'_, '_, R> {
-    fn insert(&mut self, prefix: &[RowId]) -> bool {
-        self.rows.copy_from_slice(prefix);
-        self.state.copy_from_slice(self.offsets);
-        let end0 = self.suffix[0].card;
-        let mut sink = Unstoppable {
-            inner: &mut *self.inner,
-        };
-        let (res, steps) = run_plan_kernel(
-            self.suffix,
-            self.offsets,
-            &mut self.state,
-            u64::MAX,
-            end0,
-            &mut self.rows,
-            &mut sink,
-        );
-        debug_assert_eq!(res, ContinueResult::Exhausted);
-        self.steps = self.steps.saturating_add(steps);
-        true
-    }
-
-    #[inline]
-    fn is_full(&self) -> bool {
-        self.steps >= self.budget || self.inner.is_full()
     }
 }
 
@@ -498,10 +389,10 @@ impl<'a> MultiwayJoin<'a> {
         self.chunks_run
     }
 
-    /// Execute the bound `plan` from cursor `state` (indexed by table id,
-    /// filtered positions) for at most `budget` outer-loop steps.
-    /// `offsets` are the global per-table floors. Result tuples are
-    /// inserted into `results`.
+    /// Execute the bound `plan` (see [`PreparedQuery::plan_order`]) from
+    /// cursor `state` (indexed by table id, filtered positions) for at
+    /// most `budget` steps. `offsets` are the global per-table floors.
+    /// Result tuples are inserted into `results`.
     ///
     /// With more than one configured worker thread the slice runs
     /// partitioned: the remaining left-most range is split into
@@ -514,146 +405,27 @@ impl<'a> MultiwayJoin<'a> {
     /// and rewards are oblivious to the worker count.
     ///
     /// Returns the slice outcome and the number of steps consumed.
-    /// When partitioned, steps are summed across workers and may exceed
-    /// `budget`: each chunk's share is clamped up to the livelock floor
-    /// (4·m steps), so a tiny budget with many chunks can consume up to
-    /// `chunks · 4·m` steps.
+    /// Sequentially that never exceeds `budget`. When partitioned, steps
+    /// are summed across workers and may exceed `budget`: each chunk's
+    /// share is clamped up to the livelock floor (4·m steps), so a tiny
+    /// budget with many chunks can consume up to `chunks · 4·m` steps.
     pub fn continue_join<R: ResultSink>(
         &mut self,
         order: &[TableId],
-        plan: &OrderPlan<'_>,
+        plan: &CompiledKernel<'_>,
         offsets: &[u32],
         state: &mut [u32],
         budget: u64,
         results: &mut R,
     ) -> (ContinueResult, u64) {
-        let positions = plan.positions.as_slice();
-        let m = positions.len();
+        let m = plan.num_tables();
         debug_assert_eq!(order.len(), m);
-        debug_assert!(order.iter().zip(positions).all(|(&t, p)| p.table == t));
-        let t0 = positions[0].table;
-        let end0 = positions[0].card;
-
-        // Immediate exhaustion (restored past the end).
-        if state[t0] >= end0 {
-            return (ContinueResult::Exhausted, 0);
-        }
-
-        if self.threads > 1 {
-            let spec = PartitionSpec::split(state[t0], end0, self.threads);
-            if spec.len() > 1 {
-                let run_chunk = |state: &mut [u32],
-                                 chunk_budget: u64,
-                                 hi: u32,
-                                 rows: &mut [RowId],
-                                 sink: &mut ShardSink<'_>| {
-                    run_plan_kernel(positions, offsets, state, chunk_budget, hi, rows, sink)
-                };
-                return self.continue_join_partitioned(
-                    m, t0, end0, &spec, offsets, state, budget, results, run_chunk,
-                );
-            }
-        }
-        self.chunks_run += 1;
-        run_plan_kernel(
-            positions,
-            offsets,
-            state,
-            budget,
-            end0,
-            &mut self.rows,
-            results,
-        )
-    }
-
-    /// Execute a *compiled* kernel (the codegen tier — see
-    /// `skinner-codegen`) from cursor `state`, with the same slice
-    /// semantics, partitioning behaviour, and cursor contract as
-    /// [`continue_join`](MultiwayJoin::continue_join): with more than
-    /// one configured worker thread the remaining left-most range splits
-    /// into offset chunks and every chunk runs the compiled kernel on
-    /// its own worker. The caller guarantees `kernel` was compiled from
-    /// the same prepared query and order as the plan it replaces.
-    pub fn continue_join_compiled<R: ResultSink>(
-        &mut self,
-        kernel: &CompiledKernel<'_>,
-        offsets: &[u32],
-        state: &mut [u32],
-        budget: u64,
-        results: &mut R,
-    ) -> (ContinueResult, u64) {
-        let m = kernel.num_tables();
-        debug_assert_eq!(m, self.pq.num_tables());
-        let t0 = kernel.table0();
-        let end0 = kernel.card0();
-
-        // Immediate exhaustion (restored past the end).
-        if state[t0] >= end0 {
-            return (ContinueResult::Exhausted, 0);
-        }
-
-        if self.threads > 1 {
-            let spec = PartitionSpec::split(state[t0], end0, self.threads);
-            if spec.len() > 1 {
-                let run_chunk = |state: &mut [u32],
-                                 chunk_budget: u64,
-                                 hi: u32,
-                                 rows: &mut [RowId],
-                                 sink: &mut ShardSink<'_>| {
-                    kernel.run(offsets, state, chunk_budget, hi, rows, sink)
-                };
-                return self.continue_join_partitioned(
-                    m, t0, end0, &spec, offsets, state, budget, results, run_chunk,
-                );
-            }
-        }
-        self.chunks_run += 1;
-        kernel.run(offsets, state, budget, end0, &mut self.rows, results)
-    }
-
-    /// Execute a *split* order (arity above the compiled-kernel
-    /// ceiling): `kernel` — compiled from the first
-    /// `kernel.num_tables()` positions of `plan` — drives the prefix,
-    /// and every prefix tuple it emits is expanded through the
-    /// plan-bound suffix (`plan.positions[kernel.num_tables()..]`) to
-    /// exhaustion via the private `SuffixSink`. The persisted cursor covers the
-    /// prefix coordinates with the same contract as the other tiers;
-    /// suffix coordinates are pinned at their offset floors across
-    /// suspensions (the live suffix cursor is sink-private scratch).
-    ///
-    /// Returned steps are prefix kernel steps plus suffix steps, so
-    /// reward accounting stays comparable to the plan-bound tier on the
-    /// same order; the total may overshoot `budget` by one prefix
-    /// tuple's suffix expansion (the suffix never stops mid-tuple —
-    /// see `SuffixSink` for why that is load-bearing). Partitioning
-    /// works as in the other tiers: each chunk wraps its shard in a
-    /// private `SuffixSink`.
-    pub fn continue_join_split<R: ResultSink>(
-        &mut self,
-        kernel: &CompiledKernel<'_>,
-        plan: &OrderPlan<'_>,
-        offsets: &[u32],
-        state: &mut [u32],
-        budget: u64,
-        results: &mut R,
-    ) -> (ContinueResult, u64) {
-        let k = kernel.num_tables();
-        let m = plan.positions.len();
-        debug_assert!(k < m, "split tier requires a strict prefix");
-        debug_assert!(kernel
-            .positions()
+        debug_assert!(order
             .iter()
-            .zip(plan.positions.iter())
-            .all(|(kp, pp)| kp.table == pp.table));
-        let suffix = &plan.positions[k..];
-        let t0 = kernel.table0();
-        let end0 = kernel.card0();
-
-        // Pin the suffix coordinates to their floors: the suffix cursor
-        // lives in the sink's scratch, never in the global state.
-        for p in suffix {
-            state[p.table] = offsets[p.table];
-        }
+            .zip(plan.positions())
+            .all(|(&t, p)| p.table == t));
+        let t0 = plan.table0();
+        let end0 = plan.card0();
 
         // Immediate exhaustion (restored past the end).
         if state[t0] >= end0 {
@@ -663,33 +435,18 @@ impl<'a> MultiwayJoin<'a> {
         if self.threads > 1 {
             let spec = PartitionSpec::split(state[t0], end0, self.threads);
             if spec.len() > 1 {
-                let run_chunk = |state: &mut [u32],
-                                 chunk_budget: u64,
-                                 hi: u32,
-                                 rows: &mut [RowId],
-                                 sink: &mut ShardSink<'_>| {
-                    let mut suffixed = SuffixSink::new(sink, suffix, offsets, chunk_budget);
-                    let (res, ksteps) =
-                        kernel.run(offsets, state, chunk_budget, hi, rows, &mut suffixed);
-                    (res, ksteps.saturating_add(suffixed.steps))
-                };
-                return self.continue_join_partitioned(
-                    m, t0, end0, &spec, offsets, state, budget, results, run_chunk,
-                );
+                return self
+                    .continue_join_partitioned(plan, &spec, offsets, state, budget, results);
             }
         }
         self.chunks_run += 1;
-        let mut suffixed = SuffixSink::new(results, suffix, offsets, budget);
-        let (res, ksteps) = kernel.run(offsets, state, budget, end0, &mut self.rows, &mut suffixed);
-        let steps = ksteps.saturating_add(suffixed.steps);
-        (res, steps)
+        plan.run(offsets, state, budget, end0, &mut self.rows, results)
     }
 
-    /// The parallel slice, shared by the plan-bound and compiled tiers:
-    /// one `run_chunk` invocation per offset chunk (morsel) on the
-    /// persistent worker pool, then a deterministic merge + cursor fold.
-    /// `run_chunk` executes one chunk's kernel `(state, chunk_budget,
-    /// hi, rows, shard)` with the left-most coordinate bounded by `hi`.
+    /// The parallel slice: one kernel run per offset chunk (morsel) on
+    /// the persistent worker pool, each with the left-most coordinate
+    /// bounded by its chunk's upper end, then a deterministic merge +
+    /// cursor fold.
     ///
     /// Each morsel's state is owned by its [`WorkerScratch`] (cursor,
     /// chunk bound, shard, outcome slot), so any pool worker may execute
@@ -697,24 +454,16 @@ impl<'a> MultiwayJoin<'a> {
     /// thread in chunk order, after every morsel has completed, which is
     /// what keeps results and folded cursors independent of the
     /// schedule.
-    #[allow(clippy::too_many_arguments)]
-    fn continue_join_partitioned<R, K>(
+    fn continue_join_partitioned<R: ResultSink>(
         &mut self,
-        m: usize,
-        t0: TableId,
-        end0: u32,
+        plan: &CompiledKernel<'_>,
         spec: &PartitionSpec,
         offsets: &[u32],
         state: &mut [u32],
         budget: u64,
         results: &mut R,
-        run_chunk: K,
-    ) -> (ContinueResult, u64)
-    where
-        R: ResultSink,
-        K: Fn(&mut [u32], u64, u32, &mut [RowId], &mut ShardSink<'_>) -> (ContinueResult, u64)
-            + Sync,
-    {
+    ) -> (ContinueResult, u64) {
+        let (m, t0, end0) = (plan.num_tables(), plan.table0(), plan.card0());
         let n = spec.len();
         self.chunks_run += n as u64;
         if self.scratch.len() < n {
@@ -764,8 +513,14 @@ impl<'a> MultiwayJoin<'a> {
                 out: &mut ws.out,
                 quota: target.map(|t| (emitted, t)),
             };
-            let (result, steps) =
-                run_chunk(&mut ws.state, chunk_budget, ws.hi, &mut ws.rows, &mut sink);
+            let (result, steps) = plan.run(
+                offsets,
+                &mut ws.state,
+                chunk_budget,
+                ws.hi,
+                &mut ws.rows,
+                &mut sink,
+            );
             ws.outcome = Some(ChunkOutcome { result, steps });
         });
 
@@ -851,127 +606,6 @@ impl<'a> MultiwayJoin<'a> {
     }
 }
 
-/// The order-specialized inner loop, shared by the sequential path and
-/// every parallel worker. Executes bound `positions` from cursor `state`
-/// for at most `budget` steps, with the *left-most* coordinate bounded by
-/// `end0` instead of the full filtered cardinality — that single bound is
-/// what turns the kernel into a chunk worker (sequential callers pass
-/// `positions[0].card`).
-#[allow(clippy::too_many_arguments)]
-fn run_plan_kernel<R: ResultSink>(
-    positions: &[BoundPosition<'_>],
-    offsets: &[u32],
-    state: &mut [u32],
-    budget: u64,
-    end0: u32,
-    rows: &mut [RowId],
-    results: &mut R,
-) -> (ContinueResult, u64) {
-    let m = positions.len();
-    let mut i = 0usize;
-    let mut steps: u64 = 0;
-
-    // Immediate exhaustion (restored past the end).
-    if state[positions[0].table] >= end0 {
-        return (ContinueResult::Exhausted, 0);
-    }
-
-    loop {
-        steps += 1;
-        if steps > budget {
-            return (ContinueResult::BudgetSpent, steps - 1);
-        }
-        // Poll the sink per step too, not only after inserts: a
-        // partitioned LIMIT worker whose chunk holds no matches must
-        // still observe the shared quota tripping and stop scanning.
-        // For plain sinks `is_full` is statically false, so this
-        // monomorphizes away.
-        if results.is_full() {
-            return (ContinueResult::BudgetSpent, steps - 1);
-        }
-        let pos = &positions[i];
-        let t = pos.table;
-        let s = state[t];
-        let bound = if i == 0 { end0 } else { pos.card };
-        if s >= bound {
-            // Restored coordinate beyond the end: backtrack.
-            match next_tuple(positions, offsets, state, &mut i, rows, end0, true) {
-                true => continue,
-                false => return (ContinueResult::Exhausted, steps),
-            }
-        }
-        rows[t] = pos.base[s as usize];
-        let ok = pos.preds.iter().all(|p| p.eval(rows));
-        if ok {
-            if i + 1 == m {
-                results.insert(rows);
-                if !next_tuple(positions, offsets, state, &mut i, rows, end0, false) {
-                    return (ContinueResult::Exhausted, steps);
-                }
-                if results.is_full() {
-                    // Sink-driven early exit (LIMIT pushdown): suspend as
-                    // if the budget ran out. The cursor was advanced past
-                    // the emitted tuple *first*, so a resumed slice always
-                    // makes progress — a suspend on re-emission of an
-                    // earlier slice's tuple (the shared quota counter of
-                    // the partitioned path counts those) can never repeat
-                    // the same cursor forever.
-                    return (ContinueResult::BudgetSpent, steps);
-                }
-            } else {
-                i += 1;
-            }
-        } else if !next_tuple(positions, offsets, state, &mut i, rows, end0, false) {
-            return (ContinueResult::Exhausted, steps);
-        }
-    }
-}
-
-/// Advance the cursor at position `i` of the bound plan (with index
-/// jumps where available), backtracking on exhaustion. Returns false
-/// when the left-most table reaches `end0` (this kernel's share of the
-/// join is complete). `skip_advance` is used when the current coordinate
-/// is already past the end.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn next_tuple(
-    positions: &[BoundPosition<'_>],
-    offsets: &[u32],
-    state: &mut [u32],
-    i: &mut usize,
-    rows: &[RowId],
-    end0: u32,
-    mut skip_advance: bool,
-) -> bool {
-    loop {
-        let pos = &positions[*i];
-        let t = pos.table;
-        let bound = if *i == 0 { end0 } else { pos.card };
-        if !skip_advance || state[t] < bound {
-            state[t] = match &pos.jump {
-                Some(jump) if !skip_advance => {
-                    // Jump to the next position matching the equality
-                    // key of the current predecessor tuple.
-                    match jump.key.key(rows[jump.src_table]) {
-                        Some(k) => jump.index.next_ge(k, state[t] + 1).unwrap_or(pos.card),
-                        None => pos.card,
-                    }
-                }
-                _ => state[t].saturating_add(1),
-            };
-        }
-        skip_advance = false;
-        if state[t] < bound {
-            return true;
-        }
-        if *i == 0 {
-            return false;
-        }
-        state[t] = offsets[t];
-        *i -= 1;
-    }
-}
-
 /// Generic-kernel advance: per-jump `(table, column)` map probe and
 /// column re-resolution, as before plan-time specialization. Composite
 /// jumps re-derive the fused key from the raw component columns on every
@@ -1007,9 +641,7 @@ fn next_tuple_generic(
                                 .join_key(rows[*src_table] as usize),
                             &pq.indexes[&(t, *index_col)],
                         ),
-                        JumpSpec::Composite {
-                            group, src_is_a, ..
-                        } => {
+                        JumpSpec::Composite { group, src_is_a } => {
                             let sides = pq.composites[*group].sides(*src_is_a);
                             let key = fused_join_key(
                                 sides
@@ -1127,28 +759,6 @@ mod tests {
         out
     }
 
-    /// Same, through the compiled (codegen-tier) kernel.
-    fn run_order_compiled(
-        q: &Query,
-        order: &[usize],
-        indexes: bool,
-        threads: usize,
-    ) -> Vec<Vec<u32>> {
-        let pq = PreparedQuery::new(q, indexes, 1);
-        let plan = pq.plan_order(order);
-        let kernel = plan.compile_kernel(None).expect("supported shape");
-        let mut join = MultiwayJoin::with_threads(&pq, threads);
-        let offsets = vec![0u32; pq.num_tables()];
-        let mut state = offsets.clone();
-        let mut rs = ResultSet::new();
-        let (res, _) =
-            join.continue_join_compiled(&kernel, &offsets, &mut state, u64::MAX, &mut rs);
-        assert_eq!(res, ContinueResult::Exhausted);
-        let mut out: Vec<Vec<u32>> = rs.iter().map(|t| t.to_vec()).collect();
-        out.sort();
-        out
-    }
-
     /// Same, through the generic reference kernel.
     fn run_order_generic(q: &Query, order: &[usize], indexes: bool) -> Vec<Vec<u32>> {
         let pq = PreparedQuery::new(q, indexes, 1);
@@ -1199,16 +809,18 @@ mod tests {
 
     #[test]
     fn compiled_kernel_matches_specialized_all_orders() {
+        // The kernel, sequential and partitioned, against the generic
+        // oracle on every order, with and without indexes.
         let cat = catalog();
         let q = three_way(&cat);
-        let expected = run_order(&q, &[0, 1, 2], true);
         for order in [vec![0usize, 1, 2], vec![1, 0, 2], vec![2, 1, 0]] {
             for indexes in [true, false] {
+                let oracle = run_order_generic(&q, &order, indexes);
                 for threads in [1, 3] {
                     assert_eq!(
-                        run_order_compiled(&q, &order, indexes, threads),
-                        expected,
-                        "codegen divergence: order {order:?} indexes {indexes} threads {threads}"
+                        run_order_threads(&q, &order, indexes, threads),
+                        oracle,
+                        "kernel divergence: order {order:?} indexes {indexes} threads {threads}"
                     );
                 }
             }
@@ -1222,9 +834,8 @@ mod tests {
         let expected = run_order(&q, &[0, 1, 2], true);
         let pq = PreparedQuery::new(&q, true, 1);
         let plan = pq.plan_order(&[0, 1, 2]);
-        let kernel = plan.compile_kernel(None).expect("supported shape");
         // The string-free int chain elides its jump predicates entirely.
-        assert!(kernel.positions()[1..].iter().all(|p| p.elided));
+        assert!(plan.positions()[1..].iter().all(|p| p.elided));
         let mut join = MultiwayJoin::new(&pq);
         let offsets = vec![0u32; 3];
         let mut state = vec![0u32; 3];
@@ -1234,7 +845,7 @@ mod tests {
             slices += 1;
             assert!(slices < 10_000, "no termination");
             let (res, steps) =
-                join.continue_join_compiled(&kernel, &offsets, &mut state, 12, &mut rs);
+                join.continue_join(&[0, 1, 2], &plan, &offsets, &mut state, 12, &mut rs);
             assert!(steps <= 12);
             if res == ContinueResult::Exhausted {
                 break;
@@ -1503,7 +1114,7 @@ mod tests {
     fn negative_zero_float_join_matches_positive_zero() {
         // SQL says -0.0 = 0.0; the bit patterns differ, so join keys
         // normalize -0.0 to 0.0 — a key-driven jump must surface the
-        // match on every tier.
+        // match in both kernels.
         let mut cat = Catalog::new();
         cat.register(
             Table::new(
@@ -1539,12 +1150,7 @@ mod tests {
                 assert_eq!(
                     run_order_threads(&q, &order, indexes, 1),
                     expected,
-                    "bound: order {order:?} indexes {indexes}"
-                );
-                assert_eq!(
-                    run_order_compiled(&q, &order, indexes, 1),
-                    expected,
-                    "compiled: order {order:?} indexes {indexes}"
+                    "kernel: order {order:?} indexes {indexes}"
                 );
             }
         }
@@ -1592,7 +1198,7 @@ mod tests {
                     assert_eq!(
                         run_order_threads(&q, &order, indexes, threads),
                         expected,
-                        "bound: order {order:?} indexes {indexes} threads {threads}"
+                        "kernel: order {order:?} indexes {indexes} threads {threads}"
                     );
                 }
             }
@@ -1780,9 +1386,9 @@ mod tests {
         // Two link tables joined on a two-column composite key plus a
         // third table chained on one of the components: the composite
         // jump, the single-column jump and the scan path all in one
-        // query. Every kernel (generic / plan-bound, sequential /
-        // partitioned / sliced) must produce the same tuple set, with
-        // and without indexes.
+        // query. Both kernels (generic, and the compiled kernel
+        // sequential / partitioned / sliced) must produce the same tuple
+        // set, with and without indexes.
         let mut cat = Catalog::new();
         cat.register(
             Table::new(
@@ -1855,7 +1461,7 @@ mod tests {
                     assert_eq!(
                         run_order_threads(&q, &order, indexes, threads),
                         expected,
-                        "bound diverged: order {order:?} indexes {indexes} threads {threads}"
+                        "kernel diverged: order {order:?} indexes {indexes} threads {threads}"
                     );
                 }
             }

@@ -6,8 +6,8 @@
 //! [`crate::prepare`]), and this module parallelizes *each time slice*
 //! without disturbing the learned-order semantics: the left-most
 //! table's remaining filtered-row range is split into contiguous offset
-//! chunks — *morsels* — and each morsel runs the specialized
-//! [`OrderPlan`](crate::prepare::OrderPlan) kernel on the persistent
+//! chunks — *morsels* — and each morsel runs the order's compiled
+//! [`CompiledKernel`](skinner_codegen::CompiledKernel) on the persistent
 //! worker pool (`skinner_pool::WorkerPool`; no threads are spawned per
 //! slice). The UCT policy still sees one slice, one reward, one
 //! cursor — the "partition the driver, keep the policy" separation

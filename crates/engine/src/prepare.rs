@@ -21,29 +21,25 @@
 //! 1. [`PreparedQuery::plan_spec`] derives the *logical* [`OrderSpec`]:
 //!    per position, which join conjuncts become applicable (indices into
 //!    `join_preds`) and which equality predicate can drive a hash-index
-//!    jump ([`JumpSpec`], as `(table, column)` ids).
-//! 2. [`PreparedQuery::plan_order`] *binds* that spec into an
-//!    [`OrderPlan`]: each position caches its filtered cardinality and
-//!    base-row slice, each predicate is specialized into a [`BoundPred`]
-//!    over raw typed column slices, and each jump holds a direct
-//!    [`HashIndex`] reference plus a [`KeyCol`] accessor specialized to
-//!    the key column's representation.
+//!    jump ([`JumpSpec`], as `(table, column)` ids). The generic
+//!    reference kernel interprets this layer directly.
+//! 2. [`PreparedQuery::plan_order`] *binds* that spec into the join
+//!    kernel's positions ([`CompiledKernel`]): each position caches its
+//!    filtered cardinality and base-row slice, each predicate is
+//!    specialized into a [`BoundPred`] over raw typed column slices, and
+//!    each jump holds a direct [`HashIndex`] reference plus a key source
+//!    specialized to the key column's representation.
 //!
-//! The bound plan is what the multi-way join kernel executes: the
-//! closest safe-Rust stand-in for the paper's §6 per-query code
-//! generation. Orders are bound once and cached across time slices, so
-//! the thousands of join-order switches per second never re-resolve a
-//! table, column, or index. Remaining §6 distance — fusing each
-//! position's predicate vector into straight-line generated code — is
-//! tracked in ROADMAP.md.
+//! The bound kernel is the closest safe-Rust stand-in for the paper's §6
+//! per-query code generation. Orders are bound once and cached across
+//! time slices, so the thousands of join-order switches per second
+//! never re-resolve a table, column, or index.
 
-use skinner_codegen::{
-    CompiledKernel, JumpKind, KernelCache, KernelClass, KernelJump, KernelKey, KernelPosition,
-};
+use skinner_codegen::{CompiledKernel, KernelJump, KernelPosition};
 use skinner_pool::WorkerPool;
 use skinner_query::{compile_predicates, BoundPred, CompiledPred, Query, TableId, TableSet};
 use skinner_storage::table::TableRef;
-use skinner_storage::{fused_join_key, Column, FxHashMap, FxHashSet, HashIndex, RowId};
+use skinner_storage::{fused_join_key, FxHashMap, FxHashSet, HashIndex, RowId};
 use std::sync::Arc;
 
 /// One composite (multi-column) equi-join key group, materialized at
@@ -442,8 +438,8 @@ impl PreparedQuery {
                 // selective than its best single component. When one
                 // component alone partitions the table just as finely
                 // (a near-unique id), the single-column jump wins: it
-                // keeps exact keys, predicate elision, and the codegen
-                // tier, which fused (hashed) keys forfeit.
+                // keeps exact keys and predicate elision, which fused
+                // (hashed) keys forfeit.
                 for (gi, g) in self.composites.iter().enumerate() {
                     let src_is_a = if g.tables.0 == t && joined.contains(g.tables.1) {
                         false // src = b side
@@ -464,16 +460,10 @@ impl PreparedQuery {
                     }
                     // The group's conjuncts all connect exactly {a, b},
                     // so they become applicable precisely here.
-                    let preds: Vec<usize> = g
-                        .preds
-                        .iter()
-                        .filter_map(|pi| applicable.iter().position(|x| x == pi))
-                        .collect();
-                    if preds.len() == g.preds.len() && !preds.is_empty() {
+                    if !g.preds.is_empty() && g.preds.iter().all(|pi| applicable.contains(pi)) {
                         jump = Some(JumpSpec::Composite {
                             group: gi,
                             src_is_a,
-                            preds,
                         });
                         break;
                     }
@@ -517,295 +507,79 @@ impl PreparedQuery {
         OrderSpec { positions }
     }
 
-    /// Compile one join order into a fully *bound* execution plan: every
+    /// Bind one join order into the join kernel: every
     /// table/column/index indirection is resolved now, at plan time, so
-    /// the multi-way join's inner loop touches only raw slices and direct
-    /// index references. This is the plan-time specialization that stands
-    /// in for the paper's per-query code generation (§6).
-    pub fn plan_order(&self, order: &[TableId]) -> OrderPlan<'_> {
+    /// the kernel's inner loop touches only raw slices and direct index
+    /// references. This is the plan-time specialization that stands in
+    /// for the paper's per-query code generation (§6).
+    ///
+    /// Each position's predicates are specialized into [`BoundPred`]s,
+    /// and each jump picks the key source matching the predecessor key
+    /// column's representation: exact integer keys (whose driving
+    /// equality is elided when it compiled to the exact integer fast
+    /// path), float bit patterns, fused composite keys, or
+    /// [`Column::join_key`](skinner_storage::Column::join_key) for
+    /// strings and nullable columns. Only exact integer keys are ever
+    /// elided; the others are hash-derived and re-verified.
+    pub fn plan_order(&self, order: &[TableId]) -> CompiledKernel<'_> {
         let spec = self.plan_spec(order);
         let positions = spec
             .positions
             .iter()
             .map(|p| {
                 let t = p.table;
-                let preds = p
+                let mut preds: Vec<BoundPred<'_>> = p
                     .applicable
                     .iter()
                     .map(|&pi| self.join_preds[pi].bind(&self.tables))
                     .collect();
-                let jump = p.jump.as_ref().map(|j| match j {
-                    JumpSpec::Single {
+                let (jump, elided) = match &p.jump {
+                    None => (KernelJump::Scan, None),
+                    Some(JumpSpec::Single {
                         index_col,
                         src_table,
                         src_col,
                         pred,
-                    } => {
-                        let src = self.tables[*src_table].column(*src_col);
-                        BoundJump {
-                            index: &self.indexes[&(t, *index_col)],
-                            src_table: *src_table,
-                            key: KeyCol::bind(src),
-                            pred: *pred,
+                    }) => {
+                        let index = &self.indexes[&(t, *index_col)];
+                        let (src, col) = (*src_table, self.tables[*src_table].column(*src_col));
+                        match (col.nullable(), col.i64s(), col.floats()) {
+                            (false, Some(keys), _) => (
+                                KernelJump::IntEq { keys, src, index },
+                                preds[*pred].is_exact_int_eq().then_some(*pred),
+                            ),
+                            (false, _, Some(keys)) => {
+                                (KernelJump::FloatEq { keys, src, index }, None)
+                            }
+                            _ => (KernelJump::KeyEq { col, src, index }, None),
                         }
                     }
-                    JumpSpec::Composite {
-                        group,
-                        src_is_a,
-                        preds,
-                    } => {
+                    Some(JumpSpec::Composite { group, src_is_a }) => {
                         // The index lives on this position's table; the
                         // key vector on the earlier (source) side.
                         let sides = self.composites[*group].sides(*src_is_a);
-                        BoundJump {
+                        let jump = KernelJump::FusedEq {
+                            keys: sides.src_keys,
+                            src: sides.src_table,
                             index: sides.index,
-                            src_table: sides.src_table,
-                            key: KeyCol::Fused(sides.src_keys),
-                            // Fused keys are hashes: no conjunct is ever
-                            // implied, so this drives no elision (the
-                            // compiled jump re-verifies the whole group).
-                            pred: preds[0],
-                        }
+                        };
+                        (jump, None)
                     }
-                });
-                BoundPosition {
+                };
+                if let Some(pred) = elided {
+                    preds.remove(pred);
+                }
+                KernelPosition {
                     table: t,
                     card: self.cards[t],
                     base: &self.filtered[t],
                     preds,
                     jump,
+                    elided: elided.is_some(),
                 }
             })
             .collect();
-        OrderPlan { positions }
-    }
-}
-
-/// Join-key source for an index jump, specialized at plan time to the
-/// key column's physical representation.
-#[derive(Debug, Clone, Copy)]
-pub enum KeyCol<'a> {
-    /// Non-nullable i64-backed column (`Int`, `Date`, `Interval`): the
-    /// key is the exact value itself.
-    Int(&'a [i64]),
-    /// Non-nullable float column: the key is the value's bit pattern.
-    Float(&'a [f64]),
-    /// Fused composite key vector precomputed per base row (see
-    /// [`CompositeKeyGroup`]); `None` entries are NULL components. Keys
-    /// are hashes, so the driving conjuncts are always re-verified.
-    Fused(&'a [Option<i64>]),
-    /// Strings and nullable columns: fall back to [`Column::join_key`].
-    Other(&'a Column),
-}
-
-impl<'a> KeyCol<'a> {
-    /// Choose the fastest representation for `col`.
-    pub fn bind(col: &'a Column) -> KeyCol<'a> {
-        if col.nullable() {
-            return KeyCol::Other(col);
-        }
-        if let Some(i64s) = col.i64s() {
-            KeyCol::Int(i64s)
-        } else if let Some(floats) = col.floats() {
-            KeyCol::Float(floats)
-        } else {
-            KeyCol::Other(col)
-        }
-    }
-
-    /// The 64-bit join key of `row` (`None` for NULL).
-    #[inline(always)]
-    pub fn key(&self, row: RowId) -> Option<i64> {
-        match self {
-            KeyCol::Int(v) => Some(v[row as usize]),
-            KeyCol::Float(v) => Some(skinner_storage::f64_key(v[row as usize])),
-            KeyCol::Fused(v) => v[row as usize],
-            KeyCol::Other(col) => col.join_key(row as usize),
-        }
-    }
-}
-
-/// Bound equality-predicate jump at one join-order position: a direct
-/// reference to the hash index plus the specialized key-column source —
-/// no `(table, column)` map probe per tuple advance.
-#[derive(Debug, Clone, Copy)]
-pub struct BoundJump<'a> {
-    /// The position table's hash index on the jump column.
-    pub index: &'a HashIndex,
-    /// Earlier table providing the key tuple.
-    pub src_table: TableId,
-    /// Key-column accessor, specialized to the column's representation.
-    pub key: KeyCol<'a>,
-    /// Index (within this position's `preds`) of the equality conjunct
-    /// that drives the jump — the predicate a compiled kernel may elide
-    /// when the index provably implies it.
-    pub pred: usize,
-}
-
-/// One fully bound position of an [`OrderPlan`]: the table's filtered
-/// cardinality and base-row slice, the newly applicable predicates bound
-/// to raw column slices, and the optional index jump.
-#[derive(Debug, Clone)]
-pub struct BoundPosition<'a> {
-    /// The table joined at this position.
-    pub table: TableId,
-    /// Filtered cardinality of the table (cached from `cards`).
-    pub card: u32,
-    /// Filtered positions → base row ids (cached from `filtered`).
-    pub base: &'a [RowId],
-    /// Predicates newly applicable at this position, bound to slices.
-    pub preds: Vec<BoundPred<'a>>,
-    /// Hash-index jump, if an equi predicate connects to earlier tables.
-    pub jump: Option<BoundJump<'a>>,
-}
-
-/// Fully bound per-order execution plan, borrowing the prepared query.
-/// Produced once per (query, order) by [`PreparedQuery::plan_order`] and
-/// cached across time slices.
-#[derive(Debug, Clone)]
-pub struct OrderPlan<'a> {
-    /// One entry per join-order position.
-    pub positions: Vec<BoundPosition<'a>>,
-}
-
-impl<'a> OrderPlan<'a> {
-    /// The shape key of this plan (see `skinner-codegen`): table count,
-    /// per-position key-column kind, predicate-shape fingerprint. Two
-    /// plans with equal keys execute on the same compiled kernel
-    /// instance, so the key is what the cross-query
-    /// [`KernelCache`] memoizes.
-    pub fn kernel_key(&self) -> KernelKey {
-        Self::key_of(&self.positions)
-    }
-
-    /// The shape key of the *compiled portion* of this plan: the whole
-    /// order for arity ≤ [`skinner_codegen::MAX_KERNEL_TABLES`]; for
-    /// longer orders, the
-    /// 6-position compiled prefix (the plan-bound suffix executes tier 2
-    /// through the split driver and has no shape key).
-    pub fn compiled_prefix_key(&self) -> KernelKey {
-        let prefix = self.positions.len().min(skinner_codegen::MAX_KERNEL_TABLES);
-        Self::key_of(&self.positions[..prefix])
-    }
-
-    fn key_of(positions: &[BoundPosition<'_>]) -> KernelKey {
-        KernelKey::new(
-            positions.len(),
-            positions.iter().map(|p| {
-                let kind = match &p.jump {
-                    None => JumpKind::Scan,
-                    Some(j) => match j.key {
-                        KeyCol::Int(_) => JumpKind::Int,
-                        KeyCol::Float(_) => JumpKind::Float,
-                        // Hash-derived keys: compiled, never elided.
-                        KeyCol::Fused(_) => JumpKind::Fused,
-                        KeyCol::Other(_) => JumpKind::Key,
-                    },
-                };
-                let elided = kind == JumpKind::Int
-                    && p.jump
-                        .as_ref()
-                        .is_some_and(|j| p.preds[j.pred].is_exact_int_eq());
-                (kind, p.preds.as_slice(), elided)
-            }),
-        )
-    }
-
-    /// Compile this plan into a specialized kernel (the codegen
-    /// execution tier), or `None` when the shape has no compiled kernel
-    /// — a single-table order, or a reserved [`JumpKind::Other`]
-    /// position (no current binder produces one) — in which case the
-    /// caller keeps executing the plan-bound kernel.
-    ///
-    /// Every multi-table jump shape compiles: integer and float keys,
-    /// fused composite keys, and string/nullable keys (hash-driven
-    /// posting cursors with an explicit null-reject; never elided, so
-    /// every driving conjunct is re-verified). Orders longer than
-    /// `MAX_KERNEL_TABLES` compile their 6-position *prefix*; the
-    /// returned kernel then covers fewer tables than the plan
-    /// (`kernel.num_tables() < positions.len()`) and the engine drives
-    /// the plan-bound suffix through the split tier.
-    ///
-    /// `cache` (when given) memoizes the shape resolution across
-    /// queries: a hit skips the per-position support and elision
-    /// analysis. The returned kernel borrows the same prepared-query
-    /// data as the plan itself.
-    pub fn compile_kernel(&self, cache: Option<&KernelCache>) -> Option<CompiledKernel<'a>> {
-        let prefix = self.positions.len().min(skinner_codegen::MAX_KERNEL_TABLES);
-        let key = self.compiled_prefix_key();
-        let analyze = || {
-            key.supported()
-                .then(|| KernelClass::of((0..key.tables()).map(|i| key.jump(i))))
-        };
-        match cache {
-            Some(cache) => cache.resolve(&key, analyze)?,
-            None => analyze()?,
-        };
-        let positions = self.positions[..prefix]
-            .iter()
-            .map(|p| {
-                let (jump, elided) = match &p.jump {
-                    None => (KernelJump::Scan, false),
-                    Some(j) => match j.key {
-                        KeyCol::Int(keys) => (
-                            KernelJump::IntEq {
-                                keys,
-                                src: j.src_table,
-                                index: j.index,
-                            },
-                            p.preds[j.pred].is_exact_int_eq(),
-                        ),
-                        KeyCol::Float(keys) => (
-                            KernelJump::FloatEq {
-                                keys,
-                                src: j.src_table,
-                                index: j.index,
-                            },
-                            false,
-                        ),
-                        // Hash-derived keys: compiled posting cursors
-                        // with full residual re-verification (a fused
-                        // or content-hash key narrows candidates, never
-                        // proves the conjunct) and NULL-reject begin.
-                        KeyCol::Fused(keys) => (
-                            KernelJump::FusedEq {
-                                keys,
-                                src: j.src_table,
-                                index: j.index,
-                            },
-                            false,
-                        ),
-                        KeyCol::Other(col) => (
-                            KernelJump::KeyEq {
-                                col,
-                                src: j.src_table,
-                                index: j.index,
-                            },
-                            false,
-                        ),
-                    },
-                };
-                let preds = match (&p.jump, elided) {
-                    (Some(j), true) => p
-                        .preds
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != j.pred)
-                        .map(|(_, p)| *p)
-                        .collect(),
-                    _ => p.preds.clone(),
-                };
-                KernelPosition {
-                    table: p.table,
-                    card: p.card,
-                    base: p.base,
-                    preds,
-                    jump,
-                    elided,
-                }
-            })
-            .collect();
-        CompiledKernel::new(key, positions)
+        CompiledKernel::new(positions)
     }
 }
 
@@ -838,9 +612,6 @@ pub enum JumpSpec {
         /// True when the earlier (key-providing) table is the group's
         /// `a` side, i.e. this position's table is side `b`.
         src_is_a: bool,
-        /// Indices of the group's conjuncts within this position's
-        /// applicable-predicate list.
-        preds: Vec<usize>,
     },
 }
 
@@ -850,9 +621,9 @@ impl JumpSpec {
     pub fn src_table(&self, pq: &PreparedQuery) -> TableId {
         match self {
             JumpSpec::Single { src_table, .. } => *src_table,
-            JumpSpec::Composite {
-                group, src_is_a, ..
-            } => pq.composites[*group].sides(*src_is_a).src_table,
+            JumpSpec::Composite { group, src_is_a } => {
+                pq.composites[*group].sides(*src_is_a).src_table
+            }
         }
     }
 }
@@ -870,7 +641,7 @@ pub struct PositionPlan {
 }
 
 /// Logical per-order plan: what [`PreparedQuery::plan_order`] binds into
-/// an [`OrderPlan`]. Used directly by the generic reference kernel.
+/// the join kernel. Used directly by the generic reference kernel.
 #[derive(Debug, Clone)]
 pub struct OrderSpec {
     /// One entry per join-order position.
@@ -993,27 +764,32 @@ mod tests {
         let q = query(&cat);
         let p = PreparedQuery::new(&q, true, 1);
         let plan = p.plan_order(&[0, 1]);
-        assert_eq!(plan.positions.len(), 2);
-        assert_eq!(plan.positions[0].table, 0);
-        assert_eq!(plan.positions[0].card, 3);
-        assert_eq!(plan.positions[0].base, &[1, 2, 3]);
-        assert!(plan.positions[0].preds.is_empty());
-        assert!(plan.positions[0].jump.is_none());
-        let pos1 = &plan.positions[1];
+        let positions = plan.positions();
+        assert_eq!(positions.len(), 2);
+        assert_eq!(positions[0].table, 0);
+        assert_eq!(positions[0].card, 3);
+        assert_eq!(positions[0].base, &[1, 2, 3]);
+        assert!(positions[0].preds.is_empty());
+        assert!(matches!(positions[0].jump, KernelJump::Scan));
+        let pos1 = &positions[1];
         assert_eq!(pos1.table, 1);
         assert_eq!(pos1.card, 4);
-        assert_eq!(pos1.preds.len(), 1);
-        let jump = pos1.jump.as_ref().expect("bound jump");
-        assert_eq!(jump.src_table, 0);
+        // The exact int equality driving the jump is elided.
+        assert!(pos1.elided);
+        assert!(pos1.preds.is_empty());
+        let KernelJump::IntEq { keys, src, index } = pos1.jump else {
+            panic!("expected an exact int jump");
+        };
+        assert_eq!(src, 0);
         // key source is a's id column — non-nullable INT slice
-        assert_eq!(jump.key.key(0), Some(1));
-        assert_eq!(jump.key.key(3), Some(4));
+        assert_eq!((keys[0], keys[3]), (1, 4));
         // the bound index is b's index: base row of b with a_id=3 is row 1
-        assert_eq!(jump.index.probe(3), &[1, 2]);
-        // no indexes ⇒ no jumps in the bound plan either
+        assert_eq!(index.probe(3), &[1, 2]);
+        // no indexes ⇒ no jumps (and no elision) in the bound plan either
         let p2 = PreparedQuery::new(&q, false, 1);
         let plan2 = p2.plan_order(&[0, 1]);
-        assert!(plan2.positions[1].jump.is_none());
+        assert!(matches!(plan2.positions()[1].jump, KernelJump::Scan));
+        assert_eq!(plan2.positions()[1].preds.len(), 1);
     }
 
     fn composite_catalog() -> Catalog {
@@ -1087,22 +863,16 @@ mod tests {
         for order in [[0usize, 1], [1usize, 0]] {
             let spec = p.plan_spec(&order);
             match spec.positions[1].jump.as_ref().expect("jump") {
-                JumpSpec::Composite { group, preds, .. } => {
-                    assert_eq!(*group, 0);
-                    assert_eq!(preds.len(), 2);
-                }
+                JumpSpec::Composite { group, .. } => assert_eq!(*group, 0),
                 other => panic!("expected composite jump, got {other:?}"),
             }
             // The bound plan carries the fused key source and composite
-            // index — and the shape compiles: fused keys drive a
-            // posting-cursor jump (FusedChain class, re-verified).
+            // index; both conjuncts stay for re-verification.
             let plan = p.plan_order(&order);
-            let bound = plan.positions[1].jump.as_ref().expect("bound jump");
-            assert!(matches!(bound.key, KeyCol::Fused(_)));
-            assert!(plan.kernel_key().supported());
-            let kernel = plan.compile_kernel(None).expect("fused shape compiles");
-            assert_eq!(kernel.class(), KernelClass::FusedChain);
-            assert_eq!(kernel.num_tables(), 2);
+            let pos1 = &plan.positions()[1];
+            assert!(matches!(pos1.jump, KernelJump::FusedEq { .. }));
+            assert_eq!(pos1.preds.len(), 2);
+            assert!(!pos1.elided);
         }
 
         // Without indexes there is no composite machinery at all.
@@ -1117,7 +887,7 @@ mod tests {
     fn unique_single_component_outranks_composite() {
         // (id, grp) group where id alone is unique: the composite fused
         // key partitions no finer than id, so the planner must keep the
-        // single-column Int jump — exact keys, elision, codegen tier.
+        // single-column Int jump — exact keys and elision.
         let mut cat = Catalog::new();
         cat.register(
             Table::new(
@@ -1159,15 +929,12 @@ mod tests {
         let p = PreparedQuery::new(&q, true, 1);
         assert_eq!(p.composites.len(), 1, "the group itself still exists");
         let plan = p.plan_order(&[0, 1]);
-        let jump = plan.positions[1].jump.as_ref().expect("jump");
+        let pos1 = &plan.positions()[1];
         assert!(
-            matches!(jump.key, KeyCol::Int(_)),
+            matches!(pos1.jump, KernelJump::IntEq { .. }),
             "unique component must keep the exact single-column jump"
         );
-        assert!(
-            plan.kernel_key().supported(),
-            "single jump keeps the codegen tier"
-        );
+        assert!(pos1.elided, "the exact jump keeps its elision");
     }
 
     #[test]

@@ -15,14 +15,14 @@
 
 use crate::metrics::ExecMetrics;
 use crate::multiway::{ContinueResult, LimitSink, MultiwayJoin, ResultSet, ResultSink};
-use crate::prepare::{OrderPlan, PreparedQuery};
+use crate::prepare::PreparedQuery;
 use crate::progress::ProgressTracker;
 use crate::reward::{reward, RewardKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use skinner_codegen::{CompiledKernel, KernelCache};
+use skinner_codegen::CompiledKernel;
 use skinner_pool::WorkerPool;
-use skinner_query::{Query, TableId};
+use skinner_query::{Query, TableId, MAX_TABLES};
 use skinner_storage::{FxHashMap, RowId};
 use skinner_uct::{ArmPriors, JoinOrderSpace, SearchSpace, TreeSnapshot, UctConfig, UctTree};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,11 +44,10 @@ pub enum OrderPolicy {
 pub struct SkinnerCConfig {
     /// Step budget `b` per time slice (paper default: 500 outer-loop
     /// iterations, i.e. thousands of join-order switches per second).
-    /// With parallel join workers the budget is divided across the
-    /// slice's offset chunks, so a slice examines roughly `budget`
-    /// tuples regardless of the worker count — larger budgets amortize
-    /// the per-slice thread-spawn cost and are recommended when
-    /// `threads > 1`.
+    /// A sequential slice spends at most `budget` steps. With parallel
+    /// join workers the budget is divided across the slice's offset
+    /// chunks, so a slice examines roughly `budget` tuples regardless of
+    /// the worker count.
     pub budget: u64,
     /// UCT exploration weight `w` (paper: 1e-6 for Skinner-C, whose
     /// fine-grained progress reward needs little forced exploration).
@@ -67,15 +66,6 @@ pub struct SkinnerCConfig {
     /// [`crate::partition`]). `1` reproduces the paper's sequential
     /// pre-processing and join phase exactly.
     pub threads: usize,
-    /// Execute join orders on the codegen tier (per-shape compiled
-    /// kernels, see `skinner-codegen`) instead of the plan-bound
-    /// kernel. Every multi-table jump shape compiles — integer, float,
-    /// fused composite, and string/nullable keys — and orders above the
-    /// kernel arity ceiling run a compiled 6-position prefix driving
-    /// the plan-bound suffix (the split tier). Results are identical in
-    /// every case (the differential properties enforce it), so this
-    /// switch only trades compilation for interpretation.
-    pub codegen: bool,
     /// Order selection policy (UCT, or uniform random for the Table 5
     /// ablation).
     pub policy: OrderPolicy,
@@ -94,7 +84,6 @@ impl Default for SkinnerCConfig {
             reward: RewardKind::ScaledDeltas,
             use_indexes: true,
             threads: 1,
-            codegen: true,
             policy: OrderPolicy::Uct,
             seed: 0x5EED,
             tree_sample_every: 64,
@@ -164,11 +153,6 @@ pub struct RunOptions<'a> {
     pub max_result_bytes: Option<usize>,
     /// Capture a [`LearnedState`] in the outcome for the learning cache.
     pub capture_learning: bool,
-    /// Cross-query kernel cache (see `skinner-codegen`): memoizes
-    /// kernel-shape resolutions so repeated shapes — including the
-    /// pre-bound orders of a warm service-layer template — skip
-    /// kernel-construction analysis. `None` resolves shapes locally.
-    pub kernel_cache: Option<&'a KernelCache>,
     /// Worker pool executing partitioned-slice morsels. The service
     /// wires its budget-sized pool here so every query shares one set
     /// of persistent threads; `None` uses the process-wide global pool.
@@ -357,17 +341,12 @@ impl SkinnerC {
         let mut offsets = vec![0u32; m];
         let mut results = ResultSet::new();
         let mut join = MultiwayJoin::with_pool(&pq, cfg.threads, pool.clone());
-        // Per-order execution state: the bound plan plus, when the
-        // codegen tier is on and the shape is supported, the compiled
-        // kernel (tier three). Bound once per order, reused across every
-        // slice and partitioned chunk.
-        let mut plan_cache: FxHashMap<Vec<TableId>, PlannedOrder<'_>> = FxHashMap::default();
+        // Per-order join kernels, bound once per order and reused across
+        // every slice and partitioned chunk.
+        let mut plan_cache: FxHashMap<Vec<TableId>, CompiledKernel<'_>> = FxHashMap::default();
         for order in opts.planned_orders {
             if is_permutation(order, m) && !plan_cache.contains_key(order.as_slice()) {
-                plan_cache.insert(
-                    order.clone(),
-                    bind_order(&pq, cfg.codegen, opts.kernel_cache, order, &mut metrics),
-                );
+                plan_cache.insert(order.clone(), pq.plan_order(order));
             }
         }
 
@@ -432,32 +411,22 @@ impl SkinnerC {
             // Look up by slice first: cloning the order `Vec` only on the
             // first sighting, not on the thousands of cache hits.
             if !plan_cache.contains_key(order.as_slice()) {
-                plan_cache.insert(
-                    order.clone(),
-                    bind_order(&pq, cfg.codegen, opts.kernel_cache, &order, &mut metrics),
-                );
+                plan_cache.insert(order.clone(), pq.plan_order(&order));
             }
-            let planned = &plan_cache[order.as_slice()];
+            let plan = &plan_cache[order.as_slice()];
 
             tracker.restore_into(&order, &offsets, &mut state);
             before.copy_from_slice(&state);
 
-            if planned.kernel.is_some() {
-                metrics.codegen_slices += 1;
-            }
+            metrics.codegen_slices += 1;
             let (res, steps) = match opts.target_rows {
                 Some(target) => {
                     let mut sink = LimitSink::new(&mut results, target);
-                    planned.run_slice(&mut join, &order, &offsets, &mut state, budget, &mut sink)
+                    join.continue_join(&order, plan, &offsets, &mut state, budget, &mut sink)
                 }
-                None => planned.run_slice(
-                    &mut join,
-                    &order,
-                    &offsets,
-                    &mut state,
-                    budget,
-                    &mut results,
-                ),
+                None => {
+                    join.continue_join(&order, plan, &offsets, &mut state, budget, &mut results)
+                }
             };
             metrics.steps += steps;
 
@@ -569,72 +538,10 @@ impl SkinnerC {
     }
 }
 
-/// One join order's bound execution state: the plan-bound tier plus the
-/// compiled tier when the shape supports it.
-struct PlannedOrder<'a> {
-    plan: OrderPlan<'a>,
-    kernel: Option<CompiledKernel<'a>>,
-}
-
-impl PlannedOrder<'_> {
-    /// Run one slice on the best available tier: full compiled kernel
-    /// when it covers the whole order, compiled prefix + plan-bound
-    /// suffix (split tier) when the order is longer than the kernel,
-    /// plan-bound otherwise.
-    fn run_slice<R: ResultSink>(
-        &self,
-        join: &mut MultiwayJoin<'_>,
-        order: &[TableId],
-        offsets: &[u32],
-        state: &mut [u32],
-        budget: u64,
-        results: &mut R,
-    ) -> (ContinueResult, u64) {
-        match &self.kernel {
-            Some(kernel) if kernel.num_tables() == order.len() => {
-                join.continue_join_compiled(kernel, offsets, state, budget, results)
-            }
-            Some(kernel) => {
-                join.continue_join_split(kernel, &self.plan, offsets, state, budget, results)
-            }
-            None => join.continue_join(order, &self.plan, offsets, state, budget, results),
-        }
-    }
-}
-
-/// Bind one join order for execution: the plan-bound tier always, the
-/// compiled tier when codegen is on (counted into the metrics either
-/// way). Every multi-table shape compiles — integer, float, fused
-/// composite, and string/nullable keys; orders above the kernel arity
-/// ceiling compile a prefix for the split tier — so `fallback_orders`
-/// only counts the reserved escape hatch no current binder produces.
-/// Single-table orders have no join loop to specialize and are not
-/// counted as fallbacks.
-fn bind_order<'p>(
-    pq: &'p PreparedQuery,
-    codegen: bool,
-    kernel_cache: Option<&KernelCache>,
-    order: &[TableId],
-    metrics: &mut ExecMetrics,
-) -> PlannedOrder<'p> {
-    let plan = pq.plan_order(order);
-    let kernel = (codegen && order.len() >= skinner_codegen::MIN_KERNEL_TABLES)
-        .then(|| plan.compile_kernel(kernel_cache));
-    match &kernel {
-        Some(Some(_)) => metrics.codegen_orders += 1,
-        Some(None) => metrics.fallback_orders += 1,
-        None => {}
-    }
-    PlannedOrder {
-        plan,
-        kernel: kernel.flatten(),
-    }
-}
-
 /// Is `order` a permutation of `0..m`? Guards plan pre-binding against
 /// stale cached orders from a differently-shaped query.
 fn is_permutation(order: &[TableId], m: usize) -> bool {
-    if order.len() != m || m > 64 {
+    if order.len() != m || m > MAX_TABLES {
         return false;
     }
     let mut seen = 0u64;
@@ -941,44 +848,9 @@ mod tests {
     }
 
     #[test]
-    fn codegen_tier_runs_and_can_be_disabled() {
-        let cat = fk_catalog(64);
-        let q = chain_query(&cat, 4);
-        let expected = ground_truth(&q);
-        let on = SkinnerC::new(SkinnerCConfig {
-            budget: 100,
-            ..Default::default()
-        })
-        .run(&q);
-        assert_eq!(on.result_count, expected);
-        // Int FK chain within 2..=6 tables: every order compiles.
-        assert!(on.metrics.codegen_orders > 0);
-        assert_eq!(on.metrics.fallback_orders, 0);
-        assert_eq!(on.metrics.codegen_slices, on.metrics.slices);
-
-        let off = SkinnerC::new(SkinnerCConfig {
-            budget: 100,
-            codegen: false,
-            ..Default::default()
-        })
-        .run(&q);
-        assert_eq!(off.result_count, expected);
-        assert_eq!(off.metrics.codegen_orders, 0);
-        assert_eq!(off.metrics.fallback_orders, 0);
-        assert_eq!(off.metrics.codegen_slices, 0);
-        // Same distinct tuples either way.
-        let mut a: Vec<&[u32]> = on.tuples.chunks_exact(4).collect();
-        let mut b: Vec<&[u32]> = off.tuples.chunks_exact(4).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn string_keyed_join_compiles_and_stays_correct() {
-        // String join keys bind to `KeyCol::Other` and compile to the
-        // KeyEq jump (content-hash posting cursors, re-verified): the
-        // codegen tier carries every slice and the answer is unchanged.
+        // String join keys bind to the KeyEq jump (content-hash posting
+        // cursors, re-verified) and the answer is unchanged.
         let mut cat = Catalog::new();
         cat.register(
             Table::new(
@@ -1010,17 +882,12 @@ mod tests {
         .run(&q);
         // a⋈a: 2×2, b⋈b: 1×1.
         assert_eq!(out.result_count, 5);
-        assert!(out.metrics.codegen_orders > 0, "string keys must compile");
-        assert_eq!(out.metrics.fallback_orders, 0, "no fallback remains");
         assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
     }
 
-    #[test]
-    fn seven_table_chain_splits_and_stays_correct() {
-        // Arity above MAX_KERNEL_TABLES: the compiled 6-position prefix
-        // drives the plan-bound suffix (split tier); counted as a
-        // codegen order, not a fallback.
-        let mut cat = Catalog::new();
+    /// Seven-table chain `c0.k = c1.k = … = c6.k`, each table holding
+    /// keys 0..3 twice: 3 keys × 2^7 result combinations.
+    fn seven_table_chain(cat: &mut Catalog) -> Query {
         for t in 0..7 {
             cat.register(
                 Table::new(
@@ -1031,7 +898,7 @@ mod tests {
                 .unwrap(),
             );
         }
-        let mut qb = QueryBuilder::new(&cat);
+        let mut qb = QueryBuilder::new(cat);
         for t in 0..7 {
             qb.table(&format!("c{t}")).unwrap();
         }
@@ -1043,98 +910,68 @@ mod tests {
             qb.filter(j);
         }
         qb.select_col("c0.k").unwrap();
-        let q = qb.build().unwrap();
+        qb.build().unwrap()
+    }
+
+    #[test]
+    fn seven_table_chain_splits_and_stays_correct() {
+        // Seven tables — past the old six-table kernel ceiling — run on
+        // the one kernel with no split into prefix and suffix: every
+        // slice is a kernel slice and the result count is exact.
+        let mut cat = Catalog::new();
+        let q = seven_table_chain(&mut cat);
         let out = SkinnerC::new(SkinnerCConfig {
             budget: 200,
             ..Default::default()
         })
         .run(&q);
-        // Each key appears twice per table; 3 keys × 2^7 combinations.
         assert_eq!(out.result_count, 3 * 128);
-        assert!(out.metrics.codegen_orders > 0, "prefix must compile");
-        assert_eq!(out.metrics.fallback_orders, 0);
         assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
+        assert!(out.metrics.steps <= 200 * out.metrics.slices);
     }
 
     #[test]
     fn seven_table_chain_split_agrees_with_plan_bound_partitioned() {
-        // The split tier under partitioning, checked byte-for-byte
-        // against the plan-bound tier on the same 7-table query, with a
-        // budget small enough to force many suspend/resume cycles
-        // through the split cursor contract.
+        // The seven-table chain on the kernel, sequential and
+        // partitioned, checked byte-for-byte against the plan-bound
+        // generic oracle, with a budget small enough to force many
+        // suspend/resume cycles.
         let mut cat = Catalog::new();
-        for t in 0..7 {
-            cat.register(
-                Table::new(
-                    format!("c{t}"),
-                    Schema::new([ColumnDef::new("k", ValueType::Int)]),
-                    vec![Column::from_ints((0..6).map(|i| i % 3).collect())],
-                )
-                .unwrap(),
-            );
-        }
-        let mut qb = QueryBuilder::new(&cat);
-        for t in 0..7 {
-            qb.table(&format!("c{t}")).unwrap();
-        }
-        for t in 0..6 {
-            let j = qb
-                .col(&format!("c{t}.k"))
-                .unwrap()
-                .eq(qb.col(&format!("c{}.k", t + 1)).unwrap());
-            qb.filter(j);
-        }
-        qb.select_col("c0.k").unwrap();
-        let q = qb.build().unwrap();
-        for threads in [1, 4] {
-            let split = SkinnerC::new(SkinnerCConfig {
-                budget: 64,
-                threads,
-                ..Default::default()
-            })
-            .run(&q);
-            let plan_bound = SkinnerC::new(SkinnerCConfig {
-                budget: 64,
-                threads,
-                codegen: false,
-                ..Default::default()
-            })
-            .run(&q);
-            assert_eq!(split.result_count, 3 * 128, "threads={threads}");
-            assert_eq!(plan_bound.result_count, 3 * 128);
-            let mut a: Vec<&[u32]> = split.tuples.chunks_exact(7).collect();
-            let mut b: Vec<&[u32]> = plan_bound.tuples.chunks_exact(7).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "threads={threads}");
-            assert_eq!(split.metrics.fallback_orders, 0);
-        }
-    }
+        let q = seven_table_chain(&mut cat);
 
-    #[test]
-    fn kernel_cache_hits_across_runs() {
-        let cache = KernelCache::new();
-        let cat = fk_catalog(32);
-        let q = chain_query(&cat, 3);
-        let opts = || RunOptions {
-            kernel_cache: Some(&cache),
-            ..Default::default()
-        };
-        let cfg = SkinnerCConfig {
-            budget: 50,
-            ..Default::default()
-        };
-        let first = SkinnerC::new(cfg).run_with(&q, &opts());
-        let misses_after_first = cache.stats().misses;
-        assert!(misses_after_first > 0, "first run must analyze shapes");
-        let second = SkinnerC::new(cfg).run_with(&q, &opts());
-        assert_eq!(first.result_count, second.result_count);
-        let stats = cache.stats();
-        assert_eq!(
-            stats.misses, misses_after_first,
-            "second run must not re-analyze"
+        let pq = PreparedQuery::new(&q, true, 1);
+        let order: Vec<usize> = (0..7).collect();
+        let spec = pq.plan_spec(&order);
+        let offsets = vec![0u32; 7];
+        let mut state = offsets.clone();
+        let mut oracle = ResultSet::new();
+        MultiwayJoin::new(&pq).continue_join_generic(
+            &order,
+            &spec,
+            &offsets,
+            &mut state,
+            u64::MAX,
+            &mut oracle,
         );
-        assert!(stats.hits > 0);
+        let mut expected: Vec<&[u32]> = oracle.iter().collect();
+        expected.sort();
+        assert_eq!(expected.len(), 3 * 128);
+
+        for threads in [1, 4] {
+            let out = SkinnerC::new(SkinnerCConfig {
+                budget: 64,
+                threads,
+                ..Default::default()
+            })
+            .run(&q);
+            assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
+            if threads == 1 {
+                assert!(out.metrics.steps <= 64 * out.metrics.slices);
+            }
+            let mut got: Vec<&[u32]> = out.tuples.chunks_exact(7).collect();
+            got.sort();
+            assert_eq!(got, expected, "threads={threads}");
+        }
     }
 
     #[test]

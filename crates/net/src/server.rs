@@ -609,12 +609,6 @@ fn wire_stats(state: &ServerState) -> WireStats {
             ("cache_stale_hits".into(), st.cache.stale_hits),
             ("knowledge_records".into(), st.knowledge.records),
             ("knowledge_seeded".into(), st.knowledge.seeded),
-            ("kernel_cache_hits".into(), st.kernels.hits),
-            ("kernel_cache_misses".into(), st.kernels.misses),
-            ("kernel_cache_evicted".into(), st.kernels.evicted),
-            ("codegen_orders".into(), st.codegen_orders),
-            ("fallback_orders".into(), st.fallback_orders),
-            ("codegen_slices".into(), st.codegen_slices),
             ("core_total".into(), budget.total() as u64),
             ("core_available".into(), budget.available() as u64),
             ("pool_workers".into(), pool.workers() as u64),

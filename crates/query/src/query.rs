@@ -4,6 +4,11 @@ use crate::expr::{Expr, TableSet};
 use crate::TableId;
 use skinner_storage::table::TableRef;
 
+/// Most tables one query may join. Table sets are 64-bit masks
+/// ([`TableSet`]), so this is the hard ceiling for validation, join-order
+/// permutation checks and the join kernel's fixed-capacity cursor array.
+pub const MAX_TABLES: usize = 64;
+
 /// One entry of the FROM list: a catalog table bound to an alias.
 #[derive(Debug, Clone)]
 pub struct TableBinding {
@@ -205,9 +210,9 @@ impl Query {
         if self.tables.is_empty() {
             return Err(QueryError::Invalid("query joins zero tables".into()));
         }
-        if self.tables.len() > 64 {
+        if self.tables.len() > MAX_TABLES {
             return Err(QueryError::Invalid(format!(
-                "query joins {} tables; at most 64 supported",
+                "query joins {} tables; at most {MAX_TABLES} supported",
                 self.tables.len()
             )));
         }

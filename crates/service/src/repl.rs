@@ -92,14 +92,6 @@ pub fn handle_line(session: &mut Session, line: &str) -> Response {
                     st.knowledge.invalidated
                 ),
                 format!(
-                    "kernel cache: {} hits, {} misses, {} evicted",
-                    st.kernels.hits, st.kernels.misses, st.kernels.evicted
-                ),
-                format!(
-                    "codegen: {} orders compiled, {} fallbacks, {} slices",
-                    st.codegen_orders, st.fallback_orders, st.codegen_slices
-                ),
-                format!(
                     "warm starts: {}, prior-seeded: {}",
                     st.warm_starts, st.prior_seeded
                 ),

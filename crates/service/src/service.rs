@@ -12,8 +12,7 @@ use crate::budget::{AdmissionError, CoreBudget};
 use crate::cache::{CacheStats, LearningCache, TableDeps, DEFAULT_CACHE_CAPACITY};
 use skinner_core::{postprocess, project_tuple, QueryResult, RunStats};
 use skinner_engine::{
-    KernelCache, KernelCacheStats, LearnedState, RunOptions, SkinnerC, SkinnerCConfig,
-    SkinnerOutcome, StopReason, WorkerPool, DEFAULT_KERNEL_CACHE_CAPACITY,
+    LearnedState, RunOptions, SkinnerC, SkinnerCConfig, SkinnerOutcome, StopReason, WorkerPool,
 };
 use skinner_knowledge::{observe, KnowledgeConfig, KnowledgeStats, KnowledgeStore};
 use skinner_query::{parse, Query, QueryError, TemplateKey, UdfRegistry};
@@ -59,16 +58,6 @@ pub struct ServiceConfig {
     /// learner's exploration order — results are identical either way —
     /// so disabling this reproduces fully cold first runs per template.
     pub knowledge_priors: bool,
-    /// Maximum number of memoized kernel-shape resolutions (LRU
-    /// eviction past this; default
-    /// `skinner_engine::DEFAULT_KERNEL_CACHE_CAPACITY`). Entries are
-    /// tiny and data-independent, but a process-lifetime server must
-    /// stay bounded under adversarial shape diversity.
-    pub kernel_cache_capacity: usize,
-    /// Maximum total approximate bytes held by the kernel-shape cache
-    /// (`None` = bounded by `kernel_cache_capacity` alone), mirroring
-    /// [`ServiceConfig::cache_max_bytes`] for the learning cache.
-    pub kernel_cache_max_bytes: Option<usize>,
 }
 
 impl Default for ServiceConfig {
@@ -81,8 +70,6 @@ impl Default for ServiceConfig {
             cache_max_bytes: None,
             max_result_bytes: None,
             knowledge_priors: true,
-            kernel_cache_capacity: DEFAULT_KERNEL_CACHE_CAPACITY,
-            kernel_cache_max_bytes: None,
         }
     }
 }
@@ -209,18 +196,6 @@ pub struct ServiceStats {
     /// Knowledge-store counters (cross-query priors, see
     /// `skinner-knowledge`).
     pub knowledge: KnowledgeStats,
-    /// Kernel-shape cache counters (codegen tier, see `skinner-codegen`).
-    pub kernels: KernelCacheStats,
-    /// Join orders executed on a compiled kernel, including long orders
-    /// whose 6-table prefix compiled and drove the plan-bound suffix.
-    pub codegen_orders: u64,
-    /// Join orders that fell back to the plan-bound tier with codegen
-    /// enabled. Only the reserved escape-hatch jump shape falls back,
-    /// so this is expected to stay 0.
-    pub fallback_orders: u64,
-    /// Time slices executed on a compiled kernel (split prefixes
-    /// included).
-    pub codegen_slices: u64,
 }
 
 #[derive(Debug)]
@@ -284,7 +259,6 @@ pub struct QueryService {
     /// statistics), seeding cold trees when the exact-template cache
     /// misses. Mutex, not RwLock: both seeding and recording mutate.
     knowledge: Mutex<KnowledgeStore>,
-    kernels: KernelCache,
     budget: CoreBudget,
     /// The persistent morsel pool shared by every query this service
     /// runs: sized to the core budget, so `CoreBudget` admission (how
@@ -294,9 +268,6 @@ pub struct QueryService {
     queries: AtomicU64,
     warm_starts: AtomicU64,
     prior_seeded: AtomicU64,
-    codegen_orders: AtomicU64,
-    fallback_orders: AtomicU64,
-    codegen_slices: AtomicU64,
     limit_pushdowns: AtomicU64,
     cancelled: AtomicU64,
     timed_out: AtomicU64,
@@ -359,18 +330,11 @@ impl QueryService {
             udfs,
             cache: LearningCache::with_limits(config.cache_capacity, config.cache_max_bytes),
             knowledge: Mutex::new(KnowledgeStore::new(KnowledgeConfig::default())),
-            kernels: KernelCache::with_limits(
-                config.kernel_cache_capacity,
-                config.kernel_cache_max_bytes,
-            ),
             budget,
             pool,
             queries: AtomicU64::new(0),
             warm_starts: AtomicU64::new(0),
             prior_seeded: AtomicU64::new(0),
-            codegen_orders: AtomicU64::new(0),
-            fallback_orders: AtomicU64::new(0),
-            codegen_slices: AtomicU64::new(0),
             limit_pushdowns: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
             timed_out: AtomicU64::new(0),
@@ -461,8 +425,7 @@ impl QueryService {
     /// entries are purged eagerly, not just lazily on lookup), but
     /// templates over unrelated tables keep their learning. In-flight
     /// queries keep executing against the table `Arc`s they resolved at
-    /// parse time (snapshot semantics). The kernel-shape cache is
-    /// untouched: shapes are data-independent.
+    /// parse time (snapshot semantics).
     pub fn register_table(&self, table: Table) {
         let name = table.name().to_string();
         {
@@ -495,10 +458,6 @@ impl QueryService {
             connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
             cache: self.cache.stats(),
             knowledge: self.knowledge().stats(),
-            kernels: self.kernels.stats(),
-            codegen_orders: self.codegen_orders.load(Ordering::Relaxed),
-            fallback_orders: self.fallback_orders.load(Ordering::Relaxed),
-            codegen_slices: self.codegen_slices.load(Ordering::Relaxed),
         }
     }
 
@@ -538,12 +497,6 @@ impl QueryService {
     /// fault tests assert no grant leaks across panics).
     pub fn core_budget(&self) -> &CoreBudget {
         &self.budget
-    }
-
-    /// The kernel-shape cache shared across every execution
-    /// (introspection: memoized shapes, hit counters).
-    pub fn kernel_cache(&self) -> &KernelCache {
-        &self.kernels
     }
 
     /// The persistent morsel pool executing every partitioned slice
@@ -691,7 +644,6 @@ impl QueryService {
             target_rows: query.join_limit(),
             max_result_bytes: opts.max_result_bytes.or(self.config.max_result_bytes),
             capture_learning: use_learning,
-            kernel_cache: Some(&self.kernels),
             pool: Some(self.pool.clone()),
         };
         let mut out = SkinnerC::new(engine_cfg).run_with(query, &run_opts);
@@ -723,16 +675,6 @@ impl QueryService {
         if prior_seeded {
             self.prior_seeded.fetch_add(1, Ordering::Relaxed);
         }
-        // Codegen-tier accounting, service-wide: which orders compiled
-        // (or hit the reserved escape hatch) and how many slices the
-        // compiled kernels carried. Surfaced via `\stats` and the wire
-        // Stats frame.
-        self.codegen_orders
-            .fetch_add(out.metrics.codegen_orders as u64, Ordering::Relaxed);
-        self.fallback_orders
-            .fetch_add(out.metrics.fallback_orders as u64, Ordering::Relaxed);
-        self.codegen_slices
-            .fetch_add(out.metrics.codegen_slices, Ordering::Relaxed);
         // The learning from an interrupted run is still valid (the tree
         // state is sound at every slice boundary), so even a
         // memory-exceeded run warms its template — a retry with a bigger
@@ -1219,29 +1161,6 @@ mod tests {
             .expect("held-out");
         assert!(r.stats.prior_seeded, "restored knowledge must seed");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn kernel_cache_shared_across_executions() {
-        let svc = QueryService::over(catalog());
-        let mut s = svc.session();
-        let sql = "SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k";
-        s.execute(sql).expect("first");
-        let misses = svc.stats().kernels.misses;
-        assert!(misses > 0, "shapes must be analyzed once");
-        assert!(!svc.kernel_cache().is_empty());
-        // Same template again (and even a different constant): the
-        // shapes resolve from the cache.
-        s.execute("SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k AND a.v < 50")
-            .expect("second");
-        let st = svc.stats().kernels;
-        assert!(st.hits > 0, "repeated shapes must hit");
-        // The codegen tier actually ran: orders compiled, nothing fell
-        // back to the plan-bound tier.
-        let st = svc.stats();
-        assert!(st.codegen_orders > 0, "orders must compile");
-        assert_eq!(st.fallback_orders, 0, "no order may fall back");
-        assert!(st.codegen_slices > 0, "slices must run compiled");
     }
 
     #[test]

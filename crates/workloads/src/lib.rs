@@ -18,18 +18,16 @@
 //!   selective join at parameterized position `m`), and the trivial
 //!   optimization benchmark (all non-Cartesian plans equivalent).
 //! * [`nulls`] — NULL-heavy, string-join stress: nullable
-//!   dictionary-encoded string keys exercising the engine's
-//!   `KeyCol::Other` jumps and the codegen tier's `KeyEq` posting
-//!   cursors (hash-verified string keys, NULL semantics through joins,
-//!   indexes and aggregates).
+//!   dictionary-encoded string keys exercising the join kernel's
+//!   `KeyEq` posting cursors (hash-verified string keys, NULL semantics
+//!   through joins, indexes and aggregates).
 //! * [`wide`] — wide-schema stress: dozen-plus-column tables,
 //!   high-cardinality string dictionaries, and non-nullable **Float**
-//!   join keys exercising the engine's `KeyCol::Float` jumps and the
-//!   codegen tier's `FloatEq` posting cursors.
+//!   join keys exercising the join kernel's `FloatEq` posting cursors.
 //! * [`correlated`] — JOB-shaped link tables with **composite**
-//!   `(movie_id, person_id)` join keys (the engine's fused `KeyCol::
-//!   Fused` jumps and the codegen tier's `FusedEq` posting cursors) and
-//!   `DATE` columns with TPC-H-style date-range predicates.
+//!   `(movie_id, person_id)` join keys (the join kernel's fused-key
+//!   `FusedEq` posting cursors) and `DATE` columns with TPC-H-style
+//!   date-range predicates.
 //!
 //! All generators are seeded and deterministic.
 
@@ -45,6 +43,31 @@ pub mod util;
 pub mod wide;
 
 use skinner_query::Query;
+
+/// The generic reference kernel's distinct join tuples for `q` (FROM
+/// order, one shot), sorted: the oracle the workload tests compare the
+/// compiled kernel's results against.
+#[cfg(test)]
+fn oracle_tuples(q: &Query) -> Vec<Vec<u32>> {
+    use skinner_engine::multiway::ResultSet;
+    use skinner_engine::{MultiwayJoin, PreparedQuery};
+    let pq = PreparedQuery::new(q, true, 1);
+    let order: Vec<usize> = (0..q.num_tables()).collect();
+    let offsets = vec![0u32; order.len()];
+    let mut state = offsets.clone();
+    let mut rs = ResultSet::new();
+    MultiwayJoin::new(&pq).continue_join_generic(
+        &order,
+        &pq.plan_spec(&order),
+        &offsets,
+        &mut state,
+        u64::MAX,
+        &mut rs,
+    );
+    let mut tuples: Vec<Vec<u32>> = rs.iter().map(<[u32]>::to_vec).collect();
+    tuples.sort();
+    tuples
+}
 
 /// A benchmark query with a stable identifier.
 pub struct NamedQuery {

@@ -1,16 +1,15 @@
 //! NULL-heavy + string-join stress workload.
 //!
 //! Every other workload in this crate joins on dense non-nullable
-//! integer keys — the fast path the engine's plan-time specialization
-//! targets (`KeyCol::Int`). This workload deliberately exercises the
-//! `KeyCol::Other` shape, which the codegen tier compiles to `KeyEq`
-//! posting cursors: dictionary-encoded **string** join keys (whose
+//! integer keys — the fast path the join kernel targets (`IntEq` jumps
+//! with elided equalities). This workload deliberately exercises the
+//! kernel's `KeyEq` posting cursors instead: dictionary-encoded
+//! **string** join keys (whose
 //! 64-bit join keys are content hashes that may collide and must be
 //! re-verified by the predicate) and **nullable** columns (NULL never
 //! matches an equality, never enters a hash index, rejects at the
 //! compiled jump's NULL check, and must survive three-valued predicate
-//! logic end to end). These queries run with zero codegen fallbacks,
-//! asserted below.
+//! logic end to end).
 //!
 //! The scenario is a small "log analytics" schema: `users` and `events`
 //! join on a nullable string `uid`, `domains` joins `users` on a
@@ -420,8 +419,9 @@ mod tests {
         }
     }
 
-    /// Acceptance criterion: the whole NULL/string workload runs with
-    /// zero codegen fallbacks — string and nullable key shapes compile.
+    /// The whole NULL/string workload runs on the compiled kernel —
+    /// every slice, string and nullable key shapes included — and each
+    /// query's tuples equal the generic oracle's.
     #[test]
     fn workload_runs_entirely_on_codegen_tier() {
         use skinner_engine::SkinnerC;
@@ -432,15 +432,22 @@ mod tests {
                 ..Default::default()
             })
             .run(&nq.query);
-            assert_eq!(out.metrics.fallback_orders, 0, "{} fell back", nq.id);
-            assert!(out.metrics.codegen_orders > 0, "{} never compiled", nq.id);
+            assert!(out.metrics.slices > 0, "{} never joined", nq.id);
+            assert_eq!(out.metrics.codegen_slices, out.metrics.slices, "{}", nq.id);
+            let mut got: Vec<Vec<u32>> = out
+                .tuples
+                .chunks(out.num_tables)
+                .map(<[u32]>::to_vec)
+                .collect();
+            got.sort();
+            assert_eq!(got, crate::oracle_tuples(&nq.query), "{}", nq.id);
         }
     }
 
     #[test]
     fn generated_cases_have_nullable_string_keys() {
-        // The property-test generator must actually hit the KeyCol::Other
-        // path: string key columns, frequently nullable.
+        // The property-test generator must actually hit the KeyEq jump:
+        // string key columns, frequently nullable.
         let mut saw_nullable = false;
         for seed in 0..20 {
             let (cat, q) = generate_case(seed);

@@ -12,8 +12,9 @@
 //!
 //! Start with the repository docs: `README.md` (crate map, quick start,
 //! paper mapping) and `ARCHITECTURE.md` (the slice → reward → UCT loop,
-//! `OrderPlan` plan-time specialization, and how the offset-range-
-//! partitioned parallel join phase threads through all of it).
+//! the compiled join kernel every order is bound into, and how the
+//! offset-range-partitioned parallel join phase threads through all of
+//! it).
 //!
 //! ## Quick start
 //!
@@ -69,8 +70,8 @@
 //! | [`storage`] | column store, catalog, hash indexes |
 //! | [`query`] | expressions, UDFs, SQL parser, join graphs |
 //! | [`uct`] | the UCT bandit-tree learner |
-//! | [`engine`] | Skinner-C: specialized multi-way join, three-tier kernel dispatch, parallel partitioned slices, progress sharing (§4.5) |
-//! | [`codegen`] | per-query compiled join kernels (§6): shape keys, const-generic kernels, cross-query kernel cache |
+//! | [`engine`] | Skinner-C: multi-way join on one compiled kernel plus the generic oracle, parallel partitioned slices, progress sharing (§4.5) |
+//! | [`codegen`] | the compiled join kernel (§6): runtime-arity cursor loop, posting-list jumps, elided index-implied equalities |
 //! | [`simdb`] | simulated traditional engines + optimizer + C_out oracle |
 //! | [`core`] | Skinner-G/H, pyramid timeouts, post-processing, facade |
 //! | [`baselines`] | Eddies, re-optimizer, random orders |

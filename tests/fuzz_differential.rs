@@ -4,16 +4,13 @@
 //! Date columns, nullable or not — chained by equality joins whose keys
 //! are **one or two columns wide** (two-column keys exercise the
 //! composite fused-key machinery end to end), plus a random unary
-//! filter. Every case is executed by every kernel tier and compared:
+//! filter. Every case is executed by both join kernels and compared:
 //!
 //! * the generic reference kernel (one shot) is the oracle,
-//! * the plan-bound kernel runs in small slices, sequential **and**
-//!   offset-range partitioned,
-//! * the codegen tier runs on **every** multi-table shape — integer,
-//!   float, fused composite, string and nullable keys all compile, and
-//!   orders longer than the kernel arity ceiling run the compiled
-//!   prefix + plan-bound suffix split tier — asserted below (a refusal
-//!   to compile is a test failure, not a fallback),
+//! * the compiled kernel runs in small slices, sequential **and**
+//!   offset-range partitioned, on every shape — integer, float, fused
+//!   composite, string and nullable keys, and orders of 2 to 9 tables —
+//!   and a sequential slice never spends more than its step budget,
 //! * the full Skinner-C engine (heavy order switching) is checked
 //!   against the vectorized column engine.
 //!
@@ -34,7 +31,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skinnerdb::engine::multiway::{ContinueResult, ResultSet};
 use skinnerdb::engine::{
-    schedule, MultiwayJoin, PreparedQuery, SkinnerC, SkinnerCConfig, WorkerPool,
+    schedule, KernelJump, LimitSink, MultiwayJoin, PreparedQuery, SkinnerC, SkinnerCConfig,
+    WorkerPool,
 };
 use skinnerdb::prelude::*;
 use skinnerdb::query::{JoinGraph, TableSet};
@@ -130,9 +128,9 @@ fn arb_fuzz_case() -> impl Strategy<Value = (Catalog, Query)> {
         let m = rng.gen_range(2..5usize);
         let base_rows = rng.gen_range(4..22usize);
         let space = rng.gen_range(2..6i64);
-        // Nullable keys bind KeyCol::Other (compiled as KeyEq jumps
-        // with NULL-reject); keep the probability mixed so both the
-        // exact-int and hash-key jump paths appear.
+        // Nullable keys bind KeyEq jumps (with NULL-reject); keep the
+        // probability mixed so both the exact-int and hash-key jump
+        // paths appear.
         let null_pct = [0, 0, 10, 30][rng.gen_range(0..4)];
 
         // One edge per adjacent pair, each 1 or 2 components wide. Each
@@ -241,6 +239,49 @@ fn arb_fuzz_case() -> impl Strategy<Value = (Catalog, Query)> {
     })
 }
 
+/// A chain query over `m` tables of 3..8 rows, joined on one key column
+/// per edge of a random type (Int / Float / Str / Date), NULL in 0, 10
+/// or 25% of the key rows.
+fn long_chain(seed: u64, m: usize) -> Query {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let space = rng.gen_range(2..4i64);
+    let null_pct = [0, 10, 25][rng.gen_range(0..3)];
+    let mut cat = Catalog::new();
+    let mut types = Vec::new();
+    for t in 0..m {
+        let n = rng.gen_range(3..8usize);
+        let mut defs = Vec::new();
+        let mut cols = Vec::new();
+        if t > 0 {
+            let kt = types[t - 1];
+            defs.push(ColumnDef::new("lk", KeyType::value_type(kt)));
+            cols.push(gen_column(&mut rng, kt, n, space, null_pct));
+        }
+        if t < m - 1 {
+            let kt = KeyType::pick(&mut rng);
+            types.push(kt);
+            defs.push(ColumnDef::new("rk", KeyType::value_type(kt)));
+            cols.push(gen_column(&mut rng, kt, n, space, null_pct));
+        }
+        defs.push(ColumnDef::new("v", ValueType::Int));
+        cols.push(gen_column(&mut rng, KeyType::Int, n, 20, 0));
+        cat.register(Table::new(format!("t{t}"), Schema::new(defs), cols).expect("table"));
+    }
+    let mut qb = QueryBuilder::new(&cat);
+    for t in 0..m {
+        qb.table(&format!("t{t}")).expect("table");
+    }
+    for t in 0..m - 1 {
+        let j = qb
+            .col(&format!("t{t}.rk"))
+            .expect("col")
+            .eq(qb.col(&format!("t{}.lk", t + 1)).expect("col"));
+        qb.filter(j);
+    }
+    qb.select_col("t0.v").expect("select");
+    qb.build().expect("long chain")
+}
+
 /// A random valid (connected) join order for the query.
 fn random_valid_order(q: &Query, seed: u64) -> Vec<usize> {
     let graph = JoinGraph::from_query(q);
@@ -293,8 +334,11 @@ proptest! {
             );
             let oracle = sorted_tuples(&rs_generic);
 
-            // Plan-bound kernel, sliced, sequential and partitioned.
-            let run_bound = |workers: usize| -> Vec<Vec<u32>> {
+            // The compiled kernel, sliced, sequential and partitioned:
+            // sequential slices emit the oracle's tuple sequence byte for
+            // byte and stay within budget; partitioned slices produce
+            // the oracle's tuple set.
+            let run_kernel = |workers: usize| -> Vec<Vec<u32>> {
                 let mut join = MultiwayJoin::with_threads(&pq, workers);
                 let mut state = offsets.clone();
                 let mut rs = ResultSet::new();
@@ -302,65 +346,28 @@ proptest! {
                 loop {
                     slices += 1;
                     assert!(slices < 5_000_000, "no termination");
-                    let (res, _) = join.continue_join(
+                    let (res, steps) = join.continue_join(
                         &order, &plan, &offsets, &mut state, budget, &mut rs,
                     );
+                    assert!(workers > 1 || steps <= budget, "slice overshot its budget");
                     if res == ContinueResult::Exhausted {
                         break;
                     }
                 }
-                sorted_tuples(&rs)
+                rs.iter().map(|t| t.to_vec()).collect()
             };
+            let in_order: Vec<Vec<u32>> = rs_generic.iter().map(|t| t.to_vec()).collect();
             prop_assert_eq!(
-                &run_bound(1), &oracle,
-                "plan-bound/generic divergence: order {:?} indexes {}", order, indexes
+                &run_kernel(1), &in_order,
+                "kernel/generic divergence: order {:?} indexes {}", order, indexes
             );
+            let mut partitioned = run_kernel(threads);
+            partitioned.sort();
             prop_assert_eq!(
-                &run_bound(threads), &oracle,
+                &partitioned, &oracle,
                 "partitioned/generic divergence: order {:?} indexes {} threads {}",
                 order, indexes, threads
             );
-
-            // Codegen: every multi-table shape compiles now (fused
-            // composite, string, and nullable keys included), and the
-            // compiled kernel must agree byte-for-byte, sequential and
-            // partitioned.
-            if let Some(kernel) = plan.compile_kernel(None) {
-                let run_compiled = |workers: usize| -> Vec<Vec<u32>> {
-                    let mut join = MultiwayJoin::with_threads(&pq, workers);
-                    let mut state = offsets.clone();
-                    let mut rs = ResultSet::new();
-                    let mut slices = 0u64;
-                    loop {
-                        slices += 1;
-                        assert!(slices < 5_000_000, "no termination");
-                        let (res, _) = join.continue_join_compiled(
-                            &kernel, &offsets, &mut state, budget, &mut rs,
-                        );
-                        if res == ContinueResult::Exhausted {
-                            break;
-                        }
-                    }
-                    sorted_tuples(&rs)
-                };
-                prop_assert_eq!(
-                    &run_compiled(1), &oracle,
-                    "codegen/generic divergence: order {:?} indexes {}", order, indexes
-                );
-                prop_assert_eq!(
-                    &run_compiled(threads), &oracle,
-                    "partitioned codegen/generic divergence: order {:?} indexes {} threads {}",
-                    order, indexes, threads
-                );
-            } else {
-                // The fallback gap is closed: within the kernel arity
-                // range every shape must compile, indexed or not.
-                prop_assert!(
-                    false,
-                    "kernel refused shape {} (order {:?} indexes {})",
-                    plan.kernel_key(), order, indexes
-                );
-            }
         }
     }
 
@@ -463,15 +470,7 @@ proptest! {
         })
         .run(&q);
         prop_assert_eq!(out.result_count, truth);
-        // Metrics vacuity guard: with codegen on (the default), every
-        // executed multi-table order must have compiled — the counters
-        // prove the codegen tier actually ran, not just that results
-        // happened to agree.
-        if out.metrics.slices > 0 {
-            prop_assert_eq!(out.metrics.fallback_orders, 0);
-            prop_assert!(out.metrics.codegen_orders > 0);
-            prop_assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
-        }
+        prop_assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
     }
 
     #[test]
@@ -546,18 +545,14 @@ proptest! {
     }
 
     #[test]
-    fn fuzz_prior_seeded_matches_cold(
-        (_cat, q) in arb_fuzz_case(),
-        codegen in any::<bool>(),
-    ) {
+    fn fuzz_prior_seeded_matches_cold((_cat, q) in arb_fuzz_case()) {
         // Knowledge-prior differential: run cold, feed the run's observed
         // selectivities and join-edge rewards through the knowledge store
         // (fingerprint extraction → record → seed), then re-run the same
         // query with the seeded arm priors. Optimistic initialization
         // only reorders exploration — it never prunes an arm — so the
         // prior-seeded run must produce the exact tuple set of the cold
-        // run, on every tier (sequential, partitioned via
-        // SKINNER_TEST_THREADS, codegen on and off).
+        // run, sequential and partitioned (via SKINNER_TEST_THREADS).
         use skinnerdb::engine::{RunOptions, StopReason};
         use skinnerdb::knowledge::{observe, KnowledgeConfig, KnowledgeStore};
 
@@ -568,7 +563,6 @@ proptest! {
         let engine = SkinnerC::new(SkinnerCConfig {
             budget: 16,
             threads,
-            codegen,
             ..Default::default()
         });
         let cold = engine.run_with(&q, &RunOptions::default());
@@ -606,17 +600,17 @@ proptest! {
         seeded_tuples.sort();
         prop_assert_eq!(
             seeded_tuples, cold_tuples,
-            "prior-seeded run diverged from cold run (codegen {})", codegen
+            "prior-seeded run diverged from cold run"
         );
     }
 
     #[test]
     fn fuzz_composite_cases_compile_and_agree(seed in any::<u64>()) {
         // The correlated-workload generator (always 2-column composite
-        // keys + dates): every plan — fused composite jumps included —
-        // must compile to the codegen tier, and the engine answer must
-        // match the column oracle with zero fallbacks (the composite
-        // and compilation wins compose).
+        // keys + dates): on every valid order the kernel — fused
+        // composite jumps included — must emit the generic oracle's
+        // tuples byte for byte, and the engine answer must match the
+        // column oracle (the composite and compilation wins compose).
         let (_cat, q) = skinnerdb::workloads::correlated::generate_case(seed);
         let m = q.num_tables();
         let pq = PreparedQuery::new(&q, true, 1);
@@ -642,18 +636,25 @@ proptest! {
         }
         rec(&graph, m, &mut Vec::new(), &mut orders);
         let mut saw_fused = false;
+        let offsets = vec![0u32; m];
         for order in &orders {
             let plan = pq.plan_order(order);
-            saw_fused |= plan.positions.iter().any(|p| {
-                matches!(
-                    p.jump.as_ref().map(|j| &j.key),
-                    Some(skinnerdb::engine::prepare::KeyCol::Fused(_))
-                )
-            });
+            saw_fused |= plan
+                .positions()
+                .iter()
+                .any(|p| matches!(p.jump, KernelJump::FusedEq { .. }));
+            let mut join = MultiwayJoin::new(&pq);
+            let mut state = offsets.clone();
+            let mut rs_generic = ResultSet::new();
+            join.continue_join_generic(
+                order, &pq.plan_spec(order), &offsets, &mut state, u64::MAX, &mut rs_generic,
+            );
+            let mut state = offsets.clone();
+            let mut rs_kernel = ResultSet::new();
+            join.continue_join(order, &plan, &offsets, &mut state, u64::MAX, &mut rs_kernel);
             prop_assert!(
-                plan.compile_kernel(None).is_some(),
-                "shape {} must compile (order {:?})",
-                plan.kernel_key(), order
+                rs_kernel.iter().eq(rs_generic.iter()),
+                "kernel/generic divergence (order {:?})", order
             );
         }
 
@@ -666,71 +667,29 @@ proptest! {
         })
         .run(&q);
         prop_assert_eq!(out.result_count, truth);
-        // Metrics vacuity guard: when the join phase ran, the codegen
-        // tier must actually have carried it — fused keys included.
-        if out.metrics.slices > 0 {
-            prop_assert_eq!(out.metrics.fallback_orders, 0);
-            prop_assert!(out.metrics.codegen_orders > 0);
-            prop_assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
-        }
+        prop_assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
         prop_assert!(saw_fused || !orders.is_empty());
     }
 
     #[test]
-    fn fuzz_long_orders_split_and_agree(
+    fn fuzz_long_orders_agree(
         seed in any::<u64>(),
         budget in 6u64..64,
         threads in 2usize..5,
     ) {
-        // Arity 7..=9 — above the compiled-kernel ceiling: the engine
-        // compiles a 6-position prefix and drives the plan-bound suffix
-        // through the split tier. The split tier must agree with the
-        // generic oracle byte-for-byte, sequential and partitioned,
-        // through many suspend/resume cycles (small budgets).
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let m = rng.gen_range(7..10usize);
-        let space = rng.gen_range(2..4i64);
-        let null_pct = [0, 10, 25][rng.gen_range(0..3)];
-        let mut cat = Catalog::new();
-        let mut types = Vec::new();
-        for t in 0..m {
-            let n = rng.gen_range(3..8usize);
-            let mut defs = Vec::new();
-            let mut cols = Vec::new();
-            if t > 0 {
-                let kt = types[t - 1];
-                defs.push(ColumnDef::new("lk", KeyType::value_type(kt)));
-                cols.push(gen_column(&mut rng, kt, n, space, null_pct));
-            }
-            if t < m - 1 {
-                let kt = KeyType::pick(&mut rng);
-                types.push(kt);
-                defs.push(ColumnDef::new("rk", KeyType::value_type(kt)));
-                cols.push(gen_column(&mut rng, kt, n, space, null_pct));
-            }
-            defs.push(ColumnDef::new("v", ValueType::Int));
-            cols.push(gen_column(&mut rng, KeyType::Int, n, 20, 0));
-            cat.register(Table::new(format!("t{t}"), Schema::new(defs), cols).expect("table"));
-        }
-        let mut qb = QueryBuilder::new(&cat);
-        for t in 0..m {
-            qb.table(&format!("t{t}")).expect("table");
-        }
-        for t in 0..m - 1 {
-            let j = qb
-                .col(&format!("t{t}.rk"))
-                .expect("col")
-                .eq(qb.col(&format!("t{}.lk", t + 1)).expect("col"));
-            qb.filter(j);
-        }
-        qb.select_col("t0.v").expect("select");
-        let q = qb.build().expect("long chain");
-
+        // Arity 7..=9, past the old six-table kernel ceiling: the one
+        // kernel must agree with the generic oracle byte for byte —
+        // emit order included when sequential, as a tuple set when
+        // partitioned — through many suspend/resume cycles (small
+        // budgets), over mixed Int/Float/Str/Date and nullable keys.
+        let m = SmallRng::seed_from_u64(seed ^ 0xA11).gen_range(7..10usize);
+        let q = long_chain(seed, m);
         let order = random_valid_order(&q, seed ^ 0x5917);
         let budget = budget.max(4 * m as u64);
         let pq = PreparedQuery::new(&q, true, 1);
         let spec = pq.plan_spec(&order);
         let plan = pq.plan_order(&order);
+        prop_assert_eq!(plan.num_tables(), m);
         let offsets = vec![0u32; m];
 
         // Oracle: generic reference kernel, one shot.
@@ -738,16 +697,9 @@ proptest! {
         let mut state = offsets.clone();
         let mut rs_generic = ResultSet::new();
         join.continue_join_generic(&order, &spec, &offsets, &mut state, u64::MAX, &mut rs_generic);
-        let oracle = sorted_tuples(&rs_generic);
+        let in_order: Vec<Vec<u32>> = rs_generic.iter().map(|t| t.to_vec()).collect();
 
-        // The prefix must compile and cover strictly fewer tables.
-        let kernel = plan.compile_kernel(None);
-        prop_assert!(kernel.is_some(), "long order must compile a prefix");
-        let kernel = kernel.unwrap();
-        prop_assert_eq!(kernel.num_tables(), 6);
-        prop_assert!(kernel.num_tables() < m);
-
-        let run_split = |workers: usize| -> Vec<Vec<u32>> {
+        let run_kernel = |workers: usize| -> Vec<Vec<u32>> {
             let mut join = MultiwayJoin::with_threads(&pq, workers);
             let mut state = offsets.clone();
             let mut rs = ResultSet::new();
@@ -755,26 +707,27 @@ proptest! {
             loop {
                 slices += 1;
                 assert!(slices < 5_000_000, "no termination");
-                let (res, _) = join.continue_join_split(
-                    &kernel, &plan, &offsets, &mut state, budget, &mut rs,
-                );
+                let (res, steps) =
+                    join.continue_join(&order, &plan, &offsets, &mut state, budget, &mut rs);
+                assert!(workers > 1 || steps <= budget, "slice overshot its budget");
                 if res == ContinueResult::Exhausted {
                     break;
                 }
             }
-            sorted_tuples(&rs)
+            rs.iter().map(|t| t.to_vec()).collect()
         };
         prop_assert_eq!(
-            &run_split(1), &oracle,
-            "split/generic divergence: order {:?}", order
+            &run_kernel(1), &in_order,
+            "kernel/generic divergence: order {:?}", order
         );
+        let mut partitioned = run_kernel(threads);
+        partitioned.sort();
         prop_assert_eq!(
-            &run_split(threads), &oracle,
-            "partitioned split/generic divergence: order {:?} threads {}", order, threads
+            &partitioned, &sorted_tuples(&rs_generic),
+            "partitioned kernel/generic divergence: order {:?} threads {}", order, threads
         );
 
-        // End to end through the engine, with the metrics vacuity
-        // guard: the split orders count as codegen, never fallback.
+        // End to end through the engine.
         let truth = ColEngine::new()
             .execute(&q, &ExecOptions { count_only: true, ..Default::default() })
             .result_count;
@@ -784,10 +737,135 @@ proptest! {
         })
         .run(&q);
         prop_assert_eq!(out.result_count, truth);
-        if out.metrics.slices > 0 {
-            prop_assert_eq!(out.metrics.fallback_orders, 0);
-            prop_assert!(out.metrics.codegen_orders > 0);
-            prop_assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
+        prop_assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
+    }
+
+    #[test]
+    fn fuzz_slices_never_overshoot_budget(
+        seed in any::<u64>(),
+        m in 2usize..10,
+        budget in 3u64..80,
+    ) {
+        // The paper's regret analysis (§5) assumes every time slice
+        // spends the same step budget. Over 2..=9-table chains with
+        // mixed and nullable keys, every sequential slice the engine
+        // runs — on any order, through progress-tracker restores — must
+        // spend at most the (livelock-clamped) budget.
+        let q = long_chain(seed, m);
+        let budget = budget.max(4 * m as u64);
+        let pq = PreparedQuery::new(&q, true, 1);
+        prop_assume!(!pq.any_empty());
+        let mut join = MultiwayJoin::new(&pq);
+        let orders: Vec<Vec<usize>> =
+            (0..3).map(|k| random_valid_order(&q, seed ^ k)).collect();
+        let plans: Vec<_> = orders.iter().map(|o| pq.plan_order(o)).collect();
+        let mut tracker = skinnerdb::engine::ProgressTracker::new(m);
+        let mut offsets = vec![0u32; m];
+        let mut rs = ResultSet::new();
+        for round in 0..5_000_000usize {
+            let which = round % orders.len();
+            let order = &orders[which];
+            let mut state = tracker.restore(order, &offsets);
+            let (res, steps) =
+                join.continue_join(order, &plans[which], &offsets, &mut state, budget, &mut rs);
+            prop_assert!(steps <= budget, "slice spent {} of budget {}", steps, budget);
+            let t0 = order[0];
+            if res == ContinueResult::Exhausted {
+                break;
+            }
+            offsets[t0] = offsets[t0].max(state[t0]);
+            tracker.backup(order, &state);
+        }
+
+        // Through the engine: the slices add up to at most budget each.
+        let out = SkinnerC::new(SkinnerCConfig {
+            budget,
+            ..Default::default()
+        })
+        .run(&q);
+        prop_assert!(
+            out.metrics.steps <= budget * out.metrics.slices,
+            "{} steps over {} slices of budget {}", out.metrics.steps, out.metrics.slices, budget
+        );
+    }
+}
+
+#[test]
+fn long_order_limit_suspends_without_overshoot() {
+    // LIMIT pushdown on 7..=9-table chains: a sequential slice suspends
+    // on the insert that reaches the target, so the result holds exactly
+    // the target — not one expansion's worth more — and no slice spends
+    // more than its budget, both on `continue_join` and end to end.
+    use skinnerdb::engine::{RunOptions, StopReason};
+    for m in 7..=9 {
+        let mut cat = Catalog::new();
+        for t in 0..m {
+            cat.register(
+                Table::new(
+                    format!("c{t}"),
+                    Schema::new([ColumnDef::new("k", ValueType::Int)]),
+                    vec![Column::from_ints((0..6).map(|i| i % 3).collect())],
+                )
+                .expect("table"),
+            );
+        }
+        let mut qb = QueryBuilder::new(&cat);
+        for t in 0..m {
+            qb.table(&format!("c{t}")).expect("table");
+        }
+        for t in 0..m - 1 {
+            let j = qb
+                .col(&format!("c{t}.k"))
+                .expect("col")
+                .eq(qb.col(&format!("c{}.k", t + 1)).expect("col"));
+            qb.filter(j);
+        }
+        qb.select_col("c0.k").expect("select");
+        let q = qb.build().expect("chain");
+        let pq = PreparedQuery::new(&q, true, 1);
+        let order: Vec<usize> = (0..m).collect();
+        let plan = pq.plan_order(&order);
+        let budget = 4 * m as u64;
+        for target in [1u64, 10, 100] {
+            let mut join = MultiwayJoin::new(&pq);
+            let offsets = vec![0u32; m];
+            let mut state = offsets.clone();
+            let mut rs = ResultSet::new();
+            loop {
+                let mut sink = LimitSink::new(&mut rs, target);
+                let (res, steps) =
+                    join.continue_join(&order, &plan, &offsets, &mut state, budget, &mut sink);
+                assert!(steps <= budget, "m={m}: slice spent {steps} > {budget}");
+                assert_eq!(
+                    res,
+                    ContinueResult::BudgetSpent,
+                    "m={m}: 3·2^m rows > target"
+                );
+                if sink.full() {
+                    break;
+                }
+            }
+            assert_eq!(rs.len() as u64, target, "m={m}: LIMIT overshot");
+
+            let out = SkinnerC::new(SkinnerCConfig {
+                budget,
+                ..Default::default()
+            })
+            .run_with(
+                &q,
+                &RunOptions {
+                    target_rows: Some(target),
+                    ..Default::default()
+                },
+            );
+            assert_eq!(out.stop, StopReason::RowTarget, "m={m}");
+            assert_eq!(out.result_count, target, "m={m}: engine LIMIT overshot");
+            assert!(
+                out.metrics.steps <= budget * out.metrics.slices,
+                "m={m}: {} steps over {} slices",
+                out.metrics.steps,
+                out.metrics.slices
+            );
         }
     }
 }

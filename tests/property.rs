@@ -4,8 +4,9 @@
 //!   on arbitrary generated schemas/queries (Theorem 5.3),
 //! * every valid join order yields the same multi-way join result,
 //! * the offset-range-partitioned join produces exactly the result set
-//!   of the sequential specialized kernel and the generic reference
+//!   of the sequential compiled kernel and the generic reference
 //!   kernel, for random catalogs, orders, budgets, and thread counts,
+//!   and sequential slices never spend more than their step budget,
 //! * the progress tracker never loses results under arbitrary
 //!   slice/order interleavings,
 //! * the pyramid timeout scheme keeps its Lemma 5.4/5.5 guarantees for
@@ -18,7 +19,7 @@
 use proptest::prelude::*;
 use skinnerdb::core::PyramidTimeouts;
 use skinnerdb::engine::multiway::{ContinueResult, ResultSet};
-use skinnerdb::engine::{MultiwayJoin, PreparedQuery, SkinnerC, SkinnerCConfig};
+use skinnerdb::engine::{KernelJump, MultiwayJoin, PreparedQuery, SkinnerC, SkinnerCConfig};
 use skinnerdb::prelude::*;
 use skinnerdb::query::JoinGraph;
 use skinnerdb::query::TableSet;
@@ -136,10 +137,10 @@ proptest! {
         oseed in any::<u64>(),
         budget in 3u64..48,
     ) {
-        // Differential test: the order-specialized bound-plan kernel
-        // (typed slices, direct index refs, arena result set), run in
-        // small slices, must produce exactly the result set of the
-        // generic `CompiledPred::eval` reference kernel run in one shot —
+        // Differential test: the compiled kernel (typed slices, direct
+        // index refs, arena result set), run in small slices, must
+        // produce exactly the result set of the generic
+        // `CompiledPred::eval` reference kernel run in one shot —
         // for random catalogs, random valid orders, with and without
         // hash indexes.
         use rand::rngs::SmallRng;
@@ -205,7 +206,7 @@ proptest! {
         // (offset chunks on scoped workers, shard merge, cursor fold),
         // run in small slices so budget exhaustion hits mid-chunk
         // constantly, must produce exactly the result set of (a) the
-        // sequential specialized kernel run the same way and (b) the
+        // sequential compiled kernel run the same way and (b) the
         // generic reference kernel run in one shot — for random
         // catalogs, random valid orders, random budgets and thread
         // counts, with and without hash indexes.
@@ -282,13 +283,14 @@ proptest! {
         budget in 3u64..48,
         threads in 2usize..5,
     ) {
-        // Differential test for the codegen tier: the compiled kernel
-        // (const-generic arity, posting-list cursors, elided
-        // index-implied equality predicates), run in small slices, must
-        // produce byte-for-byte the result sequence of the plan-bound
-        // kernel and the generic reference kernel — for random catalogs,
-        // random valid orders, with and without hash indexes, sequential
-        // and offset-range partitioned.
+        // Differential test for the compiled kernel `plan_order` binds
+        // (runtime arity, posting-list cursors, elided index-implied
+        // equality predicates, hoisted leaf loop), run in small slices:
+        // sequential slices must emit byte-for-byte the generic
+        // reference kernel's tuple sequence and never spend more than
+        // their budget; partitioned slices must produce the same tuple
+        // set — for random catalogs, random valid orders, with and
+        // without hash indexes.
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let graph = JoinGraph::from_query(&q);
@@ -307,25 +309,21 @@ proptest! {
             prop_assume!(!pq.any_empty());
             let plan = pq.plan_order(&order);
             let spec = pq.plan_spec(&order);
-            // 2..=5-table int chains always have a compiled kernel.
-            let kernel = plan.compile_kernel(None).expect("supported shape");
             let offsets = vec![0u32; m];
             let budget = budget.max(4 * m as u64);
 
-            // Oracles: generic one-shot and plan-bound one-shot (the
-            // bound kernel's emit order is the byte-for-byte reference).
+            // Oracle: generic one-shot (its emit order is the
+            // byte-for-byte reference).
             let mut join = MultiwayJoin::new(&pq);
             let mut state = offsets.clone();
             let mut rs_generic = ResultSet::new();
             join.continue_join_generic(
                 &order, &spec, &offsets, &mut state, u64::MAX, &mut rs_generic,
             );
-            let mut state = offsets.clone();
-            let mut rs_bound = ResultSet::new();
-            join.continue_join(&order, &plan, &offsets, &mut state, u64::MAX, &mut rs_bound);
+            let oracle: Vec<Vec<u32>> = rs_generic.iter().map(|t| t.to_vec()).collect();
 
-            // Compiled kernel, sliced to exhaustion.
-            let run_compiled = |workers: usize| -> Vec<Vec<u32>> {
+            // The kernel, sliced to exhaustion.
+            let run_sliced = |workers: usize| -> Vec<Vec<u32>> {
                 let mut join = MultiwayJoin::with_threads(&pq, workers);
                 let mut state = offsets.clone();
                 let mut rs = ResultSet::new();
@@ -333,9 +331,10 @@ proptest! {
                 loop {
                     slices += 1;
                     assert!(slices < 5_000_000, "no termination");
-                    let (res, _) = join.continue_join_compiled(
-                        &kernel, &offsets, &mut state, budget, &mut rs,
+                    let (res, steps) = join.continue_join(
+                        &order, &plan, &offsets, &mut state, budget, &mut rs,
                     );
+                    assert!(workers > 1 || steps <= budget, "slice overshot its budget");
                     if res == ContinueResult::Exhausted {
                         break;
                     }
@@ -343,20 +342,17 @@ proptest! {
                 rs.iter().map(|t| t.to_vec()).collect()
             };
 
-            // Sequential: byte-for-byte including emit order.
-            let sequential = run_compiled(1);
-            let bound: Vec<Vec<u32>> = rs_bound.iter().map(|t| t.to_vec()).collect();
             prop_assert_eq!(
-                &sequential, &bound,
-                "codegen/bound divergence: order {:?} indexes {}", order, indexes
+                &run_sliced(1), &oracle,
+                "codegen/generic divergence: order {:?} indexes {}", order, indexes
             );
             // Parallel: same distinct set (worker merge order may differ).
-            let mut parallel = run_compiled(threads);
+            let mut parallel = run_sliced(threads);
             parallel.sort();
-            let mut oracle: Vec<Vec<u32>> = rs_generic.iter().map(|t| t.to_vec()).collect();
-            oracle.sort();
+            let mut sorted = oracle.clone();
+            sorted.sort();
             prop_assert_eq!(
-                &parallel, &oracle,
+                &parallel, &sorted,
                 "parallel codegen/generic divergence: order {:?} indexes {} threads {}",
                 order, indexes, threads
             );
@@ -365,7 +361,7 @@ proptest! {
 
     #[test]
     fn wide_float_joins_match_engine(seed in any::<u64>()) {
-        // Wide schemas + Float join keys (the codegen tier's FloatEq
+        // Wide schemas + Float join keys (the kernel's FloatEq
         // posting cursors): Skinner-C under heavy order switching must
         // agree with a direct engine execution.
         let (_cat, q) = skinnerdb::workloads::wide::generate_case(seed);
@@ -383,9 +379,9 @@ proptest! {
 
     #[test]
     fn wide_float_kernels_agree(seed in any::<u64>(), budget in 3u64..48) {
-        // Differential: compiled (sliced) vs plan-bound (one shot) vs
-        // generic (one shot) on wide Float-keyed chains, with and
-        // without hash indexes.
+        // Differential: the compiled kernel (sliced) vs the generic
+        // kernel (one shot) on wide Float-keyed chains, byte for byte,
+        // with and without hash indexes.
         let (_cat, q) = skinnerdb::workloads::wide::generate_case(seed);
         let m = q.num_tables();
         let order: Vec<usize> = (0..m).collect();
@@ -394,7 +390,6 @@ proptest! {
             prop_assume!(!pq.any_empty());
             let plan = pq.plan_order(&order);
             let spec = pq.plan_spec(&order);
-            let kernel = plan.compile_kernel(None).expect("float shapes compile");
             let offsets = vec![0u32; m];
             let budget = budget.max(4 * m as u64);
             let mut join = MultiwayJoin::new(&pq);
@@ -404,43 +399,34 @@ proptest! {
             join.continue_join_generic(
                 &order, &spec, &offsets, &mut state, u64::MAX, &mut rs_generic,
             );
-            let mut state = offsets.clone();
-            let mut rs_bound = ResultSet::new();
-            join.continue_join(&order, &plan, &offsets, &mut state, u64::MAX, &mut rs_bound);
 
             let mut state = offsets.clone();
-            let mut rs_compiled = ResultSet::new();
+            let mut rs_kernel = ResultSet::new();
             let mut slices = 0u64;
             loop {
                 slices += 1;
                 prop_assert!(slices < 5_000_000, "no termination");
-                let (res, _) = join.continue_join_compiled(
-                    &kernel, &offsets, &mut state, budget, &mut rs_compiled,
+                let (res, _) = join.continue_join(
+                    &order, &plan, &offsets, &mut state, budget, &mut rs_kernel,
                 );
                 if res == ContinueResult::Exhausted {
                     break;
                 }
             }
 
-            let bound: Vec<Vec<u32>> = rs_bound.iter().map(|t| t.to_vec()).collect();
-            let compiled: Vec<Vec<u32>> = rs_compiled.iter().map(|t| t.to_vec()).collect();
-            prop_assert_eq!(&compiled, &bound, "codegen/bound divergence, indexes {}", indexes);
-            let mut a: Vec<Vec<u32>> = rs_generic.iter().map(|t| t.to_vec()).collect();
-            let mut b = compiled;
-            a.sort();
-            b.sort();
-            prop_assert_eq!(a, b, "codegen/generic divergence, indexes {}", indexes);
+            let generic: Vec<Vec<u32>> = rs_generic.iter().map(|t| t.to_vec()).collect();
+            let kernel: Vec<Vec<u32>> = rs_kernel.iter().map(|t| t.to_vec()).collect();
+            prop_assert_eq!(kernel, generic, "codegen/generic divergence, indexes {}", indexes);
         }
     }
 
     #[test]
     fn null_string_codegen_compiles_everywhere(seed in any::<u64>()) {
-        // String/nullable key columns bind `KeyCol::Other` jumps, which
-        // compile to KeyEq posting cursors (content-hash keys with
-        // NULL-reject, predicates always re-verified) — and the same
-        // query *without* indexes is a pure scan, which also compiles
-        // (generic predicate evaluation, three-valued logic and all).
-        // Both must agree with the oracle; neither may fall back.
+        // String/nullable key columns bind KeyEq posting cursors
+        // (content-hash keys with NULL-reject, predicates always
+        // re-verified) — and the same query *without* indexes is a pure
+        // scan (generic predicate evaluation, three-valued logic and
+        // all). Both must agree with the oracles.
         let (_cat, q) = skinnerdb::workloads::nulls::generate_case(seed);
         let m = q.num_tables();
         let order: Vec<usize> = (0..m).collect();
@@ -448,15 +434,15 @@ proptest! {
             .execute(&q, &ExecOptions { count_only: true, ..Default::default() })
             .result_count;
 
-        // Indexed: KeyCol::Other jumps compile (KeyChain / Mixed class).
+        // Indexed: string/nullable keys bind KeyEq jumps.
         let pq = PreparedQuery::new(&q, true, 1);
         let plan = pq.plan_order(&order);
         prop_assert!(
-            plan.compile_kernel(None).is_some(),
-            "string/nullable-keyed shapes must compile"
+            plan.positions().iter().any(|p| matches!(p.jump, KernelJump::KeyEq { .. })),
+            "string/nullable-keyed shapes must jump through KeyEq"
         );
-        // End-to-end with codegen enabled: every order compiles and the
-        // answer is still exact.
+        // End to end: every slice runs on the kernel and the answer is
+        // still exact.
         let out = SkinnerC::new(SkinnerCConfig {
             budget: 16,
             threads: env_threads(),
@@ -464,36 +450,31 @@ proptest! {
         })
         .run(&q);
         prop_assert_eq!(out.result_count, truth);
-        // (An empty-filtered table short-circuits before any order is
-        // bound; only runs that actually joined exercise the counters.)
-        if out.metrics.slices > 0 {
-            prop_assert_eq!(out.metrics.fallback_orders, 0, "no fallback remains");
-            prop_assert!(out.metrics.codegen_orders > 0);
-            prop_assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
-        }
+        prop_assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
 
-        // Scan mode (no indexes): the shape compiles and must agree.
+        // Scan mode (no indexes): the kernel agrees with the generic
+        // oracle byte for byte.
         let pq = PreparedQuery::new(&q, false, 1);
         prop_assume!(!pq.any_empty());
         let plan = pq.plan_order(&order);
-        let kernel = plan.compile_kernel(None).expect("scan shapes compile");
+        let spec = pq.plan_spec(&order);
         let offsets = vec![0u32; m];
         let mut join = MultiwayJoin::new(&pq);
         let mut state = offsets.clone();
-        let mut rs_bound = ResultSet::new();
-        join.continue_join(&order, &plan, &offsets, &mut state, u64::MAX, &mut rs_bound);
+        let mut rs_generic = ResultSet::new();
+        join.continue_join_generic(&order, &spec, &offsets, &mut state, u64::MAX, &mut rs_generic);
         let mut state = offsets.clone();
-        let mut rs_compiled = ResultSet::new();
-        join.continue_join_compiled(&kernel, &offsets, &mut state, u64::MAX, &mut rs_compiled);
-        let bound: Vec<Vec<u32>> = rs_bound.iter().map(|t| t.to_vec()).collect();
-        let compiled: Vec<Vec<u32>> = rs_compiled.iter().map(|t| t.to_vec()).collect();
-        prop_assert_eq!(compiled, bound, "scan-mode codegen divergence");
+        let mut rs_kernel = ResultSet::new();
+        join.continue_join(&order, &plan, &offsets, &mut state, u64::MAX, &mut rs_kernel);
+        let generic: Vec<Vec<u32>> = rs_generic.iter().map(|t| t.to_vec()).collect();
+        let kernel: Vec<Vec<u32>> = rs_kernel.iter().map(|t| t.to_vec()).collect();
+        prop_assert_eq!(kernel, generic, "scan-mode codegen divergence");
     }
 
     #[test]
     fn null_string_joins_match_engine(seed in any::<u64>()) {
-        // NULL-heavy, string-keyed chains (`KeyCol::Other` jumps:
-        // hash-verified string join keys, NULL equality semantics):
+        // NULL-heavy, string-keyed chains (KeyEq jumps: hash-verified
+        // string join keys, NULL equality semantics):
         // Skinner-C under heavy order switching must agree with a direct
         // engine execution.
         let (_cat, q) = skinnerdb::workloads::nulls::generate_case(seed);
@@ -511,7 +492,7 @@ proptest! {
 
     #[test]
     fn null_string_kernels_agree(seed in any::<u64>(), budget in 3u64..48) {
-        // Differential: the specialized kernel (sliced) vs the generic
+        // Differential: the compiled kernel (sliced) vs the generic
         // reference kernel (one shot) on nullable string-keyed chains,
         // with and without hash indexes (indexes skip NULL keys; the
         // no-index path must filter them through predicate evaluation).

@@ -56,9 +56,9 @@ fn shared_pool(workers: usize) -> Arc<WorkerPool> {
     .clone()
 }
 
-/// Deterministic mixed-shape cases: composite fused keys + dates
-/// (fallback tier), NULL-heavy keys, and a wide star — one apiece from
-/// each workload generator, fixed seeds.
+/// Deterministic mixed-shape cases: composite fused keys + dates,
+/// NULL-heavy keys, and a wide star — one apiece from each workload
+/// generator, fixed seeds.
 fn cases() -> Vec<(&'static str, Catalog, Query)> {
     let (c1, q1) = skinnerdb::workloads::correlated::generate_case(11);
     let (c2, q2) = skinnerdb::workloads::nulls::generate_case(23);
