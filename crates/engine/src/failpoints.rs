@@ -40,6 +40,7 @@
 //! | `partition.chunk` | parallel chunk worker | `panic` inside a scoped worker thread |
 //! | `budget.acquire` | service admission | `panic` while the budget lock is held (poisons it) |
 //! | `persist.write` / `persist.fsync` / `persist.rename` / `persist.read` | cache persistence I/O | `err` surfaces as `std::io::Error`, `panic` aborts mid-write |
+//! | `knowledge.write` / `knowledge.fsync` / `knowledge.rename` / `knowledge.read` | knowledge-store persistence I/O | as the `persist.*` sites (both files save and load through [`codec::RecordFile`](crate::codec::RecordFile)) |
 //! | `net.read` / `net.write` | wire-protocol framing (`skinner-net`) | `err` surfaces as a transport failure; the connection unwinds, the server survives |
 
 use std::collections::HashMap;

@@ -41,7 +41,6 @@
 pub mod persist;
 pub mod store;
 
-pub use persist::KnowledgeLoadReport;
 pub use store::{
     observe, EdgeObs, EdgeStat, KnowledgeConfig, KnowledgeStats, KnowledgeStore, Observation,
     TableObs, TableStat,

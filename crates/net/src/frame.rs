@@ -1,11 +1,14 @@
 //! The framing layer of the wire protocol: length-prefixed, checksummed
 //! frames over any `Read`/`Write` byte stream.
 //!
-//! Mirrors the conventions of the learning-cache persistence format
-//! (`skinner_service::persist`): a fixed magic, little-endian integers,
-//! a `u32` length prefix bounded against absurd allocations, and an
-//! `FxHasher` checksum over the payload — a corrupted or truncated
-//! frame is *detected*, never silently mis-parsed.
+//! The byte conventions are the shared codec's
+//! ([`skinner_engine::codec`], which the learning-cache and knowledge
+//! files use too): a fixed magic, little-endian integers, a `u32`
+//! length prefix bounded before any allocation, and the codec's
+//! [`checksum`] over the payload — a corrupted or truncated frame is
+//! *detected*, never silently mis-parsed. The payload buffer grows with
+//! the bytes that actually arrive, so a header that claims a large
+//! payload costs nothing until the payload is really sent.
 //!
 //! # Frame layout
 //!
@@ -35,10 +38,11 @@
 //! Fault-injection sites: `net.read`, `net.write` (see
 //! [`skinner_engine::failpoints`]).
 
+use skinner_engine::codec::{put_u32, put_u64, put_u8};
 use skinner_engine::failpoints;
-use skinner_storage::hash::FxHasher;
-use std::hash::Hasher;
 use std::io::{self, Read, Write};
+
+pub use skinner_engine::codec::checksum;
 
 /// Frame magic: "SKinner Net Frame".
 pub const MAGIC: [u8; 4] = *b"SKNF";
@@ -101,12 +105,9 @@ impl FrameType {
     }
 }
 
-/// The payload checksum (FxHasher, as the persistence format uses).
-pub fn checksum(payload: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(payload);
-    h.finish()
-}
+/// Payload bytes read per step: a frame's buffer grows by at most this
+/// much (or doubles) ahead of the bytes actually received.
+const READ_CHUNK: usize = 64 << 10;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -122,9 +123,9 @@ pub fn write_frame(w: &mut impl Write, ty: FrameType, payload: &[u8]) -> io::Res
     }
     let mut buf = Vec::with_capacity(HEADER_BYTES + payload.len());
     buf.extend_from_slice(&MAGIC);
-    buf.push(ty as u8);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&checksum(payload).to_le_bytes());
+    put_u8(&mut buf, ty as u8);
+    put_u32(&mut buf, payload.len() as u32);
+    put_u64(&mut buf, checksum(payload));
     buf.extend_from_slice(payload);
     w.write_all(&buf)?;
     w.flush()
@@ -187,9 +188,15 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(FrameType, Vec<u8>)>>
         return Err(bad(format!("frame length {len} exceeds limit")));
     }
     let want = u64::from_le_bytes(header[9..17].try_into().unwrap());
-    let mut payload = vec![0u8; len];
-    if read_full(r, &mut payload, true)?.is_none() {
-        return Err(bad("stream ended mid-frame"));
+    // Grow with the bytes that arrive: a length the peer never sends
+    // costs at most one chunk (or one doubling) of buffer.
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(len.min(start + READ_CHUNK.max(start)), 0);
+        if read_full(r, &mut payload[start..], true)?.is_none() {
+            return Err(bad("stream ended mid-frame"));
+        }
     }
     if checksum(&payload) != want {
         return Err(bad("frame checksum mismatch"));

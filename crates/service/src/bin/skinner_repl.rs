@@ -13,10 +13,11 @@
 //!   `;; ok N rows` / `;; err MESSAGE` line) — the script-facing mode.
 //! * `--threads N`: the service's total core budget, shared between
 //!   concurrent connections and intra-query join partitioning.
-//! * `--cache FILE`: crash-safe learning-cache persistence — loaded at
+//! * `--cache FILE`: crash-safe persistence of the learning cache (to
+//!   `FILE`) and the knowledge store (to `FILE.knowledge`) — loaded at
 //!   startup (warm start), flushed every `--persist-secs N` (default
 //!   30) in serve mode and at exit in both modes, so learned join
-//!   orders survive restarts.
+//!   orders and priors survive restarts.
 //!
 //! ```sh
 //! echo 'SELECT COUNT(*) AS n FROM title t' | skinner-repl
@@ -88,20 +89,7 @@ fn main() {
          \\tables \\stats \\cache \\quit \\shutdown)"
     );
     if let Some(cache) = &cache {
-        match service.load_learning_cache(cache) {
-            Ok(report) => eprintln!(
-                "learning cache warm start: {} loaded, {} corrupt, {} stale",
-                report.loaded, report.corrupt, report.stale
-            ),
-            Err(e) => eprintln!("learning cache load failed: {e}"),
-        }
-        match service.load_knowledge(&skinner_service::knowledge_path(cache)) {
-            Ok(report) => eprintln!(
-                "knowledge warm start: {} loaded, {} corrupt, {} stale",
-                report.loaded, report.corrupt, report.stale
-            ),
-            Err(e) => eprintln!("knowledge load failed: {e}"),
-        }
+        service.warm_start(cache).log("skinner-repl");
     }
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout();

@@ -20,19 +20,18 @@
 //!                            actions, children; u64::MAX = unexpanded)
 //! ```
 //!
-//! All integers are little-endian; strings are u32-length-prefixed
-//! UTF-8.
+//! Integers are little-endian, strings `u32`-length-prefixed UTF-8.
 //!
 //! # Crash safety
 //!
-//! Writes are atomic: the file is assembled in a `.tmp` sibling, fsynced,
-//! and renamed over the target (then the directory is fsynced), so a
-//! crash — even mid-write — leaves either the old file or the new one,
-//! never a torn mix. The *loader* still defends in depth: a record with
-//! a bad checksum or an undecodable payload is skipped (the length
-//! prefix keeps framing intact), a truncated tail stops the scan, and a
-//! foreign magic/version yields an empty load — corruption costs some
-//! warm starts, never availability or correctness.
+//! The header, the record framing, the atomic save and the resilient
+//! loader are the shared [`skinner_engine::codec`]: a crash mid-write
+//! leaves the old file or the new one, a corrupt record is skipped, a
+//! torn tail stops the scan, and a foreign magic or version loads
+//! nothing — corruption costs some warm starts, never availability or
+//! correctness. On top of that, records whose table versions no longer
+//! match the live catalog are skipped as stale, and
+//! `TreeSnapshot::from_parts` re-validates the tree's structure.
 //!
 //! Fault-injection sites: `persist.read`, `persist.write`,
 //! `persist.fsync`, `persist.rename` (see
@@ -40,27 +39,29 @@
 
 use crate::cache::TableDeps;
 use crate::service::QueryService;
-use skinner_engine::failpoints;
+use skinner_engine::codec::{put_str, put_u32, put_u64, Cursor, RecordFile};
 use skinner_engine::LearnedState;
 use skinner_query::{TableId, TemplateKey};
-use skinner_storage::hash::FxHasher;
 use skinner_uct::{SnapshotNode, TreeSnapshot};
-use std::fs::{File, OpenOptions};
-use std::hash::Hasher;
-use std::io::{self, Read, Write};
-use std::path::Path;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// File magic: "SKinner Learning Cache".
-const MAGIC: [u8; 4] = *b"SKLC";
-/// Format version; bump on any wire change (old files then load empty).
-const FORMAT_VERSION: u32 = 1;
-/// Upper bound on a single record's payload (corrupt length prefixes
-/// must not trigger absurd allocations).
-const MAX_RECORD_BYTES: usize = 64 << 20;
+pub use skinner_engine::codec::LoadReport;
+
+/// The learning-cache file: magic "SKinner Learning Cache", format 1.
+const SKLC: RecordFile = RecordFile {
+    magic: *b"SKLC",
+    version: 1,
+    max_record_bytes: 64 << 20,
+    read_site: "persist.read",
+    write_site: "persist.write",
+    fsync_site: "persist.fsync",
+    rename_site: "persist.rename",
+};
 
 /// One persisted cache entry.
 #[derive(Debug, Clone)]
@@ -73,40 +74,9 @@ pub struct PersistRecord {
     pub learning: LearnedState,
 }
 
-/// What a load pass observed (all the degraded paths are counted, so
-/// operators can tell "clean start" from "survived corruption").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LoadReport {
-    /// Records decoded and seeded into the cache.
-    pub loaded: usize,
-    /// Records skipped: checksum mismatch or undecodable payload.
-    pub corrupt: usize,
-    /// Records skipped because their table versions (or the tables
-    /// themselves) no longer match the live catalog.
-    pub stale: usize,
-    /// True if the file ended mid-record (torn tail after a crash).
-    pub truncated: bool,
-    /// True if the file had a foreign magic or format version (nothing
-    /// was loaded from it).
-    pub format_mismatch: bool,
-}
-
 // ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
 
 fn put_ids(out: &mut Vec<u8>, ids: &[TableId]) {
     put_u32(out, ids.len() as u32);
@@ -145,100 +115,39 @@ fn encode_record(key: &TemplateKey, deps: &TableDeps, learning: &LearnedState) -
     p
 }
 
-fn checksum(payload: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(payload);
-    h.finish()
-}
-
-// ---------------------------------------------------------------------
-// Decoding (bounds-checked cursor; any overrun = corrupt record)
-// ---------------------------------------------------------------------
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
+fn get_ids(c: &mut Cursor<'_>) -> Option<Vec<TableId>> {
+    let n = c.count(8)?;
+    let mut ids = Vec::with_capacity(n);
+    for _ in 0..n {
+        ids.push(usize::try_from(c.u64()?).ok()?);
     }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.take(4)?;
-        Some(u32::from_le_bytes(b.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let b = self.take(8)?;
-        Some(u64::from_le_bytes(b.try_into().ok()?))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn ids(&mut self) -> Option<Vec<TableId>> {
-        let n = self.u32()? as usize;
-        // Each id is 8 bytes; a count the buffer cannot hold is corrupt.
-        if n > (self.buf.len() - self.pos) / 8 {
-            return None;
-        }
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(usize::try_from(self.u64()?).ok()?);
-        }
-        Some(ids)
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+    Some(ids)
 }
 
 fn decode_record(payload: &[u8]) -> Option<PersistRecord> {
     let mut c = Cursor::new(payload);
     let key = TemplateKey::from_canonical(c.str()?);
-    let n_deps = c.u32()? as usize;
-    let mut deps = Vec::with_capacity(n_deps.min(1024));
+    // A dep is a name length + a version: 12 bytes minimum.
+    let n_deps = c.count(12)?;
+    let mut deps = Vec::with_capacity(n_deps);
     for _ in 0..n_deps {
-        let name = c.str()?;
-        let version = c.u64()?;
-        deps.push((name, version));
+        deps.push((c.str()?, c.u64()?));
     }
-    let best_order = c.ids()?;
-    let n_orders = c.u32()? as usize;
-    let mut planned_orders = Vec::with_capacity(n_orders.min(1024));
+    let best_order = get_ids(&mut c)?;
+    let n_orders = c.count(4)?;
+    let mut planned_orders = Vec::with_capacity(n_orders);
     for _ in 0..n_orders {
-        planned_orders.push(c.ids()?);
+        planned_orders.push(get_ids(&mut c)?);
     }
     let rounds = c.u64()?;
-    let n_nodes = c.u32()? as usize;
     // visits + reward + action count = 20 bytes minimum per node.
-    if n_nodes > (payload.len() - c.pos) / 20 {
-        return None;
-    }
+    let n_nodes = c.count(20)?;
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
         let visits = c.u64()?;
         let reward_sum = f64::from_bits(c.u64()?);
-        let n_actions = c.u32()? as usize;
-        if n_actions > (payload.len() - c.pos) / 16 {
-            return None;
-        }
+        // One action + one child slot = 16 bytes per arm.
+        let n_actions = c.count(16)?;
         let mut actions = Vec::with_capacity(n_actions);
         for _ in 0..n_actions {
             actions.push(usize::try_from(c.u64()?).ok()?);
@@ -282,44 +191,18 @@ fn decode_record(payload: &[u8]) -> Option<PersistRecord> {
 // File I/O
 // ---------------------------------------------------------------------
 
-/// Serialize `entries` to `path` atomically: assemble in `path.tmp`,
-/// fsync, rename over `path`, fsync the directory. Returns the record
-/// count written. A crash at any point leaves the previous file (or no
-/// file) intact.
+/// Serialize `entries` to `path` atomically (see
+/// [`RecordFile::save`]). Returns the record count written.
 pub fn save_entries(
     path: &Path,
     entries: &[(TemplateKey, TableDeps, LearnedState)],
 ) -> io::Result<usize> {
-    let tmp = tmp_path(path);
-    let mut buf = Vec::with_capacity(4096);
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    for (key, deps, learning) in entries {
-        let payload = encode_record(key, deps, learning);
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&checksum(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
-    }
-
-    let mut f = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&tmp)?;
-    failpoints::io_check("persist.write")?;
-    f.write_all(&buf)?;
-    failpoints::io_check("persist.fsync")?;
-    f.sync_all()?;
-    drop(f);
-    failpoints::io_check("persist.rename")?;
-    std::fs::rename(&tmp, path)?;
-    // Make the rename itself durable. Directory fsync is advisory on
-    // some filesystems; failure here cannot un-rename, so best-effort.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    SKLC.save(
+        path,
+        entries
+            .iter()
+            .map(|(key, deps, learning)| encode_record(key, deps, learning)),
+    )?;
     Ok(entries.len())
 }
 
@@ -351,70 +234,42 @@ pub fn save_entries_with_retry(
     Err(last.unwrap_or_else(|| io::Error::other("unreachable: no attempt ran")))
 }
 
-/// Read every decodable record from `path`. Degradation, not failure:
-/// corrupt records are skipped, a torn tail stops the scan, a foreign
-/// header loads nothing — all reported in the [`LoadReport`]. Only an
-/// I/O error opening/reading the file itself is an `Err`; a missing
-/// file is `Ok` with an empty load (fresh start).
+/// Read every decodable record from `path` (see [`RecordFile::load`]
+/// for how corruption degrades). A missing file is an empty load.
 pub fn load_entries(path: &Path) -> io::Result<(Vec<PersistRecord>, LoadReport)> {
-    let mut report = LoadReport::default();
-    failpoints::io_check("persist.read")?;
-    let mut buf = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut buf)?;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), report)),
-        Err(e) => return Err(e),
-    }
-
-    if buf.len() < 8 || buf[..4] != MAGIC || buf[4..8] != FORMAT_VERSION.to_le_bytes() {
-        report.format_mismatch = true;
-        return Ok((Vec::new(), report));
-    }
-
-    let mut records = Vec::new();
-    let mut pos = 8usize;
-    while pos < buf.len() {
-        // Frame: len u32 | checksum u64 | payload.
-        if pos + 12 > buf.len() {
-            report.truncated = true;
-            break;
-        }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        let want = u64::from_le_bytes(buf[pos + 4..pos + 12].try_into().unwrap());
-        if len > MAX_RECORD_BYTES || pos + 12 + len > buf.len() {
-            // A corrupt length cannot be resynced past; a too-long
-            // length is indistinguishable from a torn tail.
-            report.truncated = true;
-            break;
-        }
-        let payload = &buf[pos + 12..pos + 12 + len];
-        pos += 12 + len;
-        if checksum(payload) != want {
-            report.corrupt += 1;
-            continue;
-        }
-        match decode_record(payload) {
-            Some(r) => {
-                records.push(r);
-                report.loaded += 1;
-            }
-            None => report.corrupt += 1,
-        }
-    }
-    Ok((records, report))
-}
-
-fn tmp_path(path: &Path) -> std::path::PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
+    SKLC.load(path, decode_record)
 }
 
 // ---------------------------------------------------------------------
 // Service integration
 // ---------------------------------------------------------------------
+
+/// What a warm start from one `--cache` location found: the learning
+/// cache file and its [`knowledge_path`] sibling.
+#[derive(Debug)]
+pub struct WarmStart {
+    /// The learning-cache load.
+    pub cache: io::Result<LoadReport>,
+    /// The knowledge-store load.
+    pub knowledge: io::Result<LoadReport>,
+}
+
+impl WarmStart {
+    /// Report both loads on stderr, one line each, prefixed by `who`:
+    /// `learning cache warm start: N loaded, N corrupt, N stale` and
+    /// `knowledge warm start: …` (or the load error).
+    pub fn log(&self, who: &str) {
+        for (what, load) in [
+            ("learning cache", &self.cache),
+            ("knowledge", &self.knowledge),
+        ] {
+            match load {
+                Ok(report) => eprintln!("{who}: {what} warm start: {report}"),
+                Err(e) => eprintln!("{who}: {what} load failed: {e}"),
+            }
+        }
+    }
+}
 
 impl QueryService {
     /// Persist the learning cache to `path` (atomic write; see module
@@ -462,14 +317,22 @@ impl QueryService {
     /// whose catalog versions still match the live catalog (others are
     /// reported `stale`); corruption degrades exactly like the learning
     /// cache's loader.
-    pub fn load_knowledge(
-        &self,
-        path: &Path,
-    ) -> io::Result<skinner_knowledge::KnowledgeLoadReport> {
+    pub fn load_knowledge(&self, path: &Path) -> io::Result<LoadReport> {
         let mut store = self.knowledge();
         skinner_knowledge::persist::load_with(&mut store, path, |name, version| {
             self.table_is_current(name, version)
         })
+    }
+
+    /// Warm-start everything persisted under one `--cache` location:
+    /// the learning cache from `cache_path` and the knowledge store from
+    /// its [`knowledge_path`] sibling. A failed or degraded load of one
+    /// file does not stop the other.
+    pub fn warm_start(&self, cache_path: &Path) -> WarmStart {
+        WarmStart {
+            cache: self.load_learning_cache(cache_path),
+            knowledge: self.load_knowledge(&knowledge_path(cache_path)),
+        }
     }
 }
 
@@ -477,10 +340,21 @@ impl QueryService {
 /// `<cache path>.knowledge`. Keeping the two formats in separate files
 /// lets each keep its own magic, version and corruption domain while
 /// operators still manage a single `--cache` location.
-pub fn knowledge_path(cache_path: &Path) -> std::path::PathBuf {
+pub fn knowledge_path(cache_path: &Path) -> PathBuf {
     let mut name = cache_path.file_name().unwrap_or_default().to_os_string();
     name.push(".knowledge");
     cache_path.with_file_name(name)
+}
+
+/// One flush of a `--cache` location: the learning cache (retried),
+/// then its knowledge sibling. Returns the learning-cache entry count;
+/// a knowledge flush error is reported, not returned.
+fn flush(service: &QueryService, path: &Path) -> io::Result<usize> {
+    let n = service.save_learning_cache_with_retry(path, 3, Duration::from_millis(50));
+    if let Err(e) = service.save_knowledge(&knowledge_path(path)) {
+        eprintln!("skinner: knowledge flush failed: {e}");
+    }
+    n
 }
 
 /// Background persister: periodically flushes the service's learning
@@ -493,7 +367,7 @@ pub struct CachePersister {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
     service: Arc<QueryService>,
-    path: std::path::PathBuf,
+    path: PathBuf,
 }
 
 impl CachePersister {
@@ -502,7 +376,7 @@ impl CachePersister {
     /// take the query path down.
     pub fn start(
         service: Arc<QueryService>,
-        path: impl Into<std::path::PathBuf>,
+        path: impl Into<PathBuf>,
         interval: Duration,
     ) -> CachePersister {
         let path = path.into();
@@ -516,13 +390,8 @@ impl CachePersister {
                 since_flush += tick;
                 if since_flush >= interval {
                     since_flush = Duration::ZERO;
-                    if let Err(e) =
-                        svc.save_learning_cache_with_retry(&p, 3, Duration::from_millis(50))
-                    {
+                    if let Err(e) = flush(&svc, &p) {
                         eprintln!("skinner: periodic cache flush failed: {e}");
-                    }
-                    if let Err(e) = svc.save_knowledge(&knowledge_path(&p)) {
-                        eprintln!("skinner: periodic knowledge flush failed: {e}");
                     }
                 }
             }
@@ -540,35 +409,25 @@ impl CachePersister {
     /// knowledge store flushes alongside (a knowledge flush error is
     /// reported but does not fail the cache flush).
     pub fn shutdown(mut self) -> io::Result<usize> {
-        self.halt();
-        if let Err(e) = self.service.save_knowledge(&knowledge_path(&self.path)) {
-            eprintln!("skinner: final knowledge flush failed: {e}");
-        }
-        self.service
-            .save_learning_cache_with_retry(&self.path, 3, Duration::from_millis(50))
+        self.final_flush()
     }
 
-    fn halt(&mut self) {
+    /// Stop the background thread, then flush once more.
+    fn final_flush(&mut self) -> io::Result<usize> {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+        flush(&self.service, &self.path)
     }
 }
 
 impl Drop for CachePersister {
     fn drop(&mut self) {
+        // After `shutdown` the handle is gone and the flush already ran.
         if self.handle.is_some() {
-            self.halt();
-            if let Err(e) = self.service.save_learning_cache_with_retry(
-                &self.path,
-                3,
-                Duration::from_millis(50),
-            ) {
+            if let Err(e) = self.final_flush() {
                 eprintln!("skinner: final cache flush failed: {e}");
-            }
-            if let Err(e) = self.service.save_knowledge(&knowledge_path(&self.path)) {
-                eprintln!("skinner: final knowledge flush failed: {e}");
             }
         }
     }
@@ -633,83 +492,5 @@ mod tests {
             r.learning.snapshot.to_parts().0,
             learning.snapshot.to_parts().0
         );
-    }
-
-    #[test]
-    fn file_round_trips_and_missing_file_is_fresh() {
-        let dir = std::env::temp_dir().join("skinner_persist_rt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.bin");
-        let entries = vec![entry("a", 30), entry("b", 60)];
-        assert_eq!(save_entries(&path, &entries).unwrap(), 2);
-        let (records, report) = load_entries(&path).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(
-            report,
-            LoadReport {
-                loaded: 2,
-                ..Default::default()
-            }
-        );
-        // Atomic write leaves no temp file behind.
-        assert!(!tmp_path(&path).exists());
-
-        let (none, fresh) = load_entries(&dir.join("absent.bin")).unwrap();
-        assert!(none.is_empty());
-        assert_eq!(fresh, LoadReport::default());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_record_is_skipped_others_survive() {
-        let dir = std::env::temp_dir().join("skinner_persist_corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.bin");
-        let entries = vec![entry("a", 30), entry("b", 60), entry("c", 90)];
-        save_entries(&path, &entries).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Flip one byte inside the SECOND record's payload: its checksum
-        // fails, records one and three still load.
-        let first_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let second_payload_at = 8 + 12 + first_len + 12;
-        bytes[second_payload_at + 5] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let (records, report) = load_entries(&path).unwrap();
-        assert_eq!(report.loaded, 2);
-        assert_eq!(report.corrupt, 1);
-        assert!(!report.truncated);
-        let names: Vec<&str> = records.iter().map(|r| r.key.canonical()).collect();
-        assert_eq!(names, vec!["[a]|a.x=?", "[c]|c.x=?"]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn torn_tail_keeps_complete_prefix() {
-        let dir = std::env::temp_dir().join("skinner_persist_torn");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.bin");
-        save_entries(&path, &[entry("a", 30), entry("b", 60)]).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        // Cut mid-way through the second record (simulated torn write).
-        let first_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let cut = 8 + 12 + first_len + 15;
-        std::fs::write(&path, &bytes[..cut]).unwrap();
-        let (records, report) = load_entries(&path).unwrap();
-        assert_eq!(report.loaded, 1);
-        assert!(report.truncated);
-        assert_eq!(records[0].key.canonical(), "[a]|a.x=?");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn foreign_header_loads_nothing() {
-        let dir = std::env::temp_dir().join("skinner_persist_magic");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.bin");
-        std::fs::write(&path, b"NOPE\x01\x00\x00\x00rest").unwrap();
-        let (records, report) = load_entries(&path).unwrap();
-        assert!(records.is_empty());
-        assert!(report.format_mismatch);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1164,6 +1164,32 @@ mod tests {
     }
 
     #[test]
+    fn warm_start_restores_cache_and_knowledge() {
+        let dir = std::env::temp_dir().join(format!("skinner_svc_warm_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.bin");
+        let trained = QueryService::over(catalog());
+        trained
+            .session()
+            .execute("SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k AND a.v < 60")
+            .expect("train");
+        // The persister's final flush writes both files of the location.
+        crate::CachePersister::start(trained, &path, std::time::Duration::from_secs(3600))
+            .shutdown()
+            .expect("flush");
+
+        let restored = QueryService::over(catalog());
+        let warm = restored.warm_start(&path);
+        let cache = warm.cache.expect("cache load");
+        let knowledge = warm.knowledge.expect("knowledge load");
+        assert_eq!((cache.loaded, cache.corrupt, cache.stale), (1, 0, 0));
+        assert!(knowledge.loaded > 0, "{knowledge}");
+        let (tables, edges) = restored.knowledge().len();
+        assert!(tables + edges > 0, "warm start must restore the priors");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn limit_pushdown_counted() {
         let svc = QueryService::over(catalog());
         let mut s = svc.session();
